@@ -7,8 +7,8 @@
 //! counts, and a descriptive error otherwise — the uniform surface the rest of the
 //! stack relies on, replacing the old `embedding()`-only accessors.
 //!
-//! The paper's full methods are these estimators wrapped in
-//! [`crate::Pipeline::with_pca`] (see [`crate::estimators::dse_pipeline`] and
+//! The paper's full methods are these estimators wrapped in a
+//! standardize-then-PCA [`crate::Pipeline`] (see [`crate::estimators::dse_pipeline`] and
 //! [`crate::estimators::ssmvd_pipeline`]), which contributes the per-view PCA
 //! pre-reduction that used to be hand-rolled inside `Dse::fit` / `Ssmvd::fit`.
 

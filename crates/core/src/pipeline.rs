@@ -16,11 +16,6 @@
 //!     .whiten(WhitenSpec::randomized())
 //!     .build(Box::new(DseConsensus));
 //! ```
-//!
-//! The old constructors remain as shims: [`Pipeline::new`] is
-//! `builder().standardize()` and [`Pipeline::with_pca`] is
-//! `builder().standardize().pca()`, with identical semantics (standardization is
-//! still gated on the spec's `center`/`scale` switches).
 
 use crate::model::check_same_instances;
 use crate::stage::load_fitted_stage;
@@ -101,20 +96,6 @@ impl Pipeline {
     /// Start an empty stage list.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
-    }
-
-    /// Wrap an estimator with standardization-only preprocessing (active when the
-    /// spec's `center`/`scale` switches are set).
-    #[deprecated(note = "use `Pipeline::builder().standardize().build(inner)`")]
-    pub fn new(inner: Box<dyn MultiViewEstimator>) -> Self {
-        Self::builder().standardize().build(inner)
-    }
-
-    /// Wrap an estimator with standardization plus per-view PCA pre-reduction to
-    /// `spec.effective_per_view_dim()` components.
-    #[deprecated(note = "use `Pipeline::builder().standardize().pca().build(inner)`")]
-    pub fn with_pca(inner: Box<dyn MultiViewEstimator>) -> Self {
-        Self::builder().standardize().pca().build(inner)
     }
 }
 
@@ -386,25 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shims_match_the_builder() {
-        let views = toy_views();
-        let spec = FitSpec::with_rank(2).per_view_dim(3).center(true);
-        #[allow(deprecated)]
-        let shim = Pipeline::with_pca(Box::new(PcaEstimator));
-        let built = Pipeline::builder()
-            .standardize()
-            .pca()
-            .build(Box::new(PcaEstimator));
-        let a = shim.fit(&views, &spec).unwrap().transform(&views).unwrap();
-        let b = built.fit(&views, &spec).unwrap().transform(&views).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn standardization_is_replayed_on_new_instances() {
         let views = toy_views();
-        #[allow(deprecated)]
-        let pipeline = Pipeline::new(Box::new(PcaEstimator));
+        let pipeline = Pipeline::builder()
+            .standardize()
+            .build(Box::new(PcaEstimator));
         let spec = FitSpec::with_rank(2).center(true).scale(true);
         let model = pipeline.fit(&views, &spec).unwrap();
         // Transforming the training views must agree with per-view transforms.

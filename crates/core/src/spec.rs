@@ -106,7 +106,7 @@ pub struct FitSpec {
     /// Convergence tolerance for iterative solvers.
     pub tolerance: f64,
     /// Per-view PCA width for methods with a pre-reduction stage (DSE, SSMVD and any
-    /// [`crate::Pipeline::with_pca`] pipeline); `None` means [`DEFAULT_PER_VIEW_DIM`].
+    /// pipeline with a [`crate::PcaReduce`] stage); `None` means [`DEFAULT_PER_VIEW_DIM`].
     pub per_view_dim: Option<usize>,
     /// Tensor decomposition algorithm for TCCA / KTCCA.
     pub decomposition: DecompositionMethod,

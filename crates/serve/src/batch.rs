@@ -113,7 +113,7 @@ pub struct EngineStats {
     /// Requests dropped (in-band, with [`ServeError::DeadlineExceeded`]) because
     /// their deadline passed before execution.
     pub deadline_dropped: usize,
-    /// View requests served through the opt-in `f32` fast path (v6): the model
+    /// View requests served through the opt-in `f32` fast path: the model
     /// exposed an `f32` shadow of the requested view's projection and the batch
     /// ran through it. `F32` requests against models without a shadow fall back
     /// to `f64` and are *not* counted — the counter reports what actually ran.
@@ -400,7 +400,7 @@ impl BatchEngine {
     /// coalesce into one `transform_view` call that — for feature views — addresses
     /// every request's columns in place through a [`linalg::ColsView`]: no stitched
     /// copy, no per-view `hstack`, zero input copies.
-    /// `precision` selects the arithmetic (v6): [`Precision::F32`] runs the
+    /// `precision` selects the arithmetic: [`Precision::F32`] runs the
     /// projection through the model's cached `f32` shadow when one exists for
     /// this view, and silently falls back to the bit-exact `f64` path when it
     /// does not ([`EngineStats::f32_transforms`] reports which one ran).

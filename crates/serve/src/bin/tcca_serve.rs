@@ -35,11 +35,11 @@
 //!   Requests shard by model name (rendezvous hashing, `--replication` replicas) and
 //!   fail over when a shard dies. Prints one `shard N: LABEL` line per shard, then
 //!   `listening on ADDR`. The shard set is **live**: `cluster --add/--remove` (or
-//!   the v5 wire ops) admits and drains shards at runtime.
+//!   the control-plane wire ops) admits and drains shards at runtime.
 //! * `--reactor` (on `serve` and `route`) pins the event loop's readiness backend
 //!   (`poll` or `epoll`); unset, the `TCCA_REACTOR` environment variable and then
 //!   the platform default (epoll on Linux) decide.
-//! * `cluster` talks the v5 control ops to a live router-backed server: each
+//! * `cluster` talks the control-plane ops to a live router-backed server: each
 //!   `--add ADDR` admits a validated remote shard, each `--remove ID` drains and
 //!   removes one, then the final membership table prints.
 //! * `bench` measures loopback throughput: a single-process server vs a local
@@ -319,7 +319,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-/// Talk the v5 control ops to a live router-backed server: admit shards
+/// Talk the control-plane ops to a live router-backed server: admit shards
 /// (`--add`, validated before entering the table), drain-and-remove shards
 /// (`--remove`), then print the final membership table.
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
@@ -590,7 +590,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 /// Raise the soft open-file limit toward the hard limit so the idle-connection
 /// scaling bench can hold thousands of sockets. Best-effort: a failure leaves
 /// the limit unchanged and the bench degrades to whatever fits.
-#[cfg(unix)]
 fn raise_nofile_limit() {
     #[repr(C)]
     struct RLimit {
@@ -618,7 +617,6 @@ fn raise_nofile_limit() {
 /// drain cycle on the active connection. poll(2) rescans every registration
 /// per wakeup so its cost grows with the idle count; epoll(7) should stay
 /// flat. Emits the same JSON shape the perf CI artifact collects.
-#[cfg(unix)]
 fn cmd_reactor_bench(args: &[String]) -> Result<(), String> {
     use serve::reactor::{self, Event, Interest, ReactorKind};
     use std::io::Read as _;
@@ -727,11 +725,6 @@ fn cmd_reactor_bench(args: &[String]) -> Result<(), String> {
         None => println!("{json}"),
     }
     Ok(())
-}
-
-#[cfg(not(unix))]
-fn cmd_reactor_bench(_args: &[String]) -> Result<(), String> {
-    Err("reactor-bench requires a unix platform".into())
 }
 
 fn cmd_soak(args: &[String]) -> Result<(), String> {

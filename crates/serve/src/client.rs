@@ -1,13 +1,14 @@
-//! Blocking TCP client for the `tcca_serve` protocol (v1–v5).
+//! Blocking TCP client for the `tcca_serve` wire protocol (see [`crate::wire`]).
 //!
-//! The one-call-at-a-time methods ([`Client::transform`], [`Client::ping`], …)
-//! speak plain v1 frames. The v2 surface is [`Client::send`] / [`Client::recv`]:
-//! `send` fires a [`Request`] wrapped in a tagged envelope *without waiting*, and
-//! `recv` returns the next `(id, response)` pair the server produced — possibly out
-//! of request order. Pipelining many tagged requests over one connection keeps the
-//! socket full instead of paying a round trip per request. The `*_deadline`
-//! variants speak the v4 envelope: the remaining time budget rides the wire, so
-//! the server sheds work it cannot finish in time with an in-band verdict.
+//! Every call goes out in the tagged envelope. [`Client::call`] is the one
+//! blocking path: it sends a [`Request`] with an optional deadline budget and
+//! waits for the reply carrying the same id, skipping late replies to earlier
+//! calls that timed out. The typed methods ([`Client::transform`],
+//! [`Client::ping`], …) are thin wrappers over it. [`Client::send`] /
+//! [`Client::recv`] pipeline instead: `send` fires a request *without waiting*,
+//! and `recv` returns the next `(id, response)` pair the server produced —
+//! possibly out of request order — which keeps the socket full instead of
+//! paying a round trip per request.
 //!
 //! ## Timeouts
 //!
@@ -162,55 +163,59 @@ impl Client {
         })
     }
 
-    fn call(&mut self, request: &Request) -> Result<Response> {
-        let deadline = self.op_deadline();
-        self.write_request(&request.encode(), deadline)?;
-        let payload = self.read_reply(deadline)?;
-        Response::decode(&payload)
-    }
-
-    /// One blocking call under the v4 deadline envelope: the remaining budget
-    /// (`budget_ms`, relative to the server's receipt) rides the wire, so the
-    /// server itself drops the work in-band if it cannot finish in time.
-    fn call_deadline(&mut self, request: Request, budget_ms: u32) -> Result<Response> {
-        let deadline = self.op_deadline();
+    /// Write `request` in the tagged envelope under a fresh id and return the id.
+    fn send_tagged(
+        &mut self,
+        request: Request,
+        budget_ms: u32,
+        deadline: Option<Instant>,
+    ) -> Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let tagged = request.tagged_deadline(id, budget_ms);
-        self.write_request(&tagged.encode(), deadline)?;
-        let payload = self.read_reply(deadline)?;
-        match Response::decode(&payload)? {
-            Response::Tagged { id: rid, inner } if rid == id => Ok(*inner),
-            other => Err(ServeError::Protocol(format!(
-                "expected the reply tagged {id}, got {other:?}"
-            ))),
+        self.write_request(&request.tagged_deadline(id, budget_ms).encode(), deadline)?;
+        Ok(id)
+    }
+
+    /// One blocking call: send `request` with `budget_ms` of deadline on the
+    /// wire (`0` = none; the server drops work it cannot start in time) and
+    /// wait, under the per-operation timeout, for the reply carrying its id.
+    /// Replies to earlier requests on this connection — late answers to calls
+    /// that timed out — are skipped, so one lost reply never shifts every
+    /// later call by one. In-band `Error`, `Overloaded` and `DeadlineExceeded`
+    /// verdicts come back as the matching [`ServeError`] variant.
+    pub fn call(&mut self, request: Request, budget_ms: u32) -> Result<Response> {
+        let deadline = self.op_deadline();
+        let id = self.send_tagged(request, budget_ms, deadline)?;
+        let reply = loop {
+            match Response::decode(&self.read_reply(deadline)?)? {
+                Response::Tagged { id: rid, .. } if rid < id => continue,
+                Response::Tagged { id: rid, inner } if rid == id => break *inner,
+                // Untagged: the server could not decode one of our frames.
+                error @ Response::Error(_) => break error,
+                other => {
+                    return Err(ServeError::Protocol(format!(
+                        "expected the reply tagged {id}, got {other:?}"
+                    )))
+                }
+            }
+        };
+        match reply {
+            Response::Error(msg) => Err(ServeError::Remote(msg)),
+            Response::Overloaded(msg) => Err(ServeError::Overloaded(msg)),
+            Response::DeadlineExceeded(msg) => Err(ServeError::DeadlineExceeded(msg)),
+            other => Ok(other),
         }
     }
 
-    /// Pipelined send (protocol v2): wrap `request` in a tagged envelope with a
-    /// fresh id, write it, and return the id without waiting for the reply.
+    /// Pipelined send: wrap `request` in the tagged envelope with a fresh id,
+    /// write it, and return the id without waiting for the reply.
     pub fn send(&mut self, request: &Request) -> Result<u64> {
         let deadline = self.op_deadline();
-        let id = self.next_id;
-        self.next_id += 1;
-        let tagged = request.clone().tagged(id);
-        self.write_request(&tagged.encode(), deadline)?;
-        Ok(id)
+        self.send_tagged(request.clone(), 0, deadline)
     }
 
-    /// Pipelined send carrying a deadline (protocol v4): like [`Client::send`]
-    /// but the server is told it has `budget_ms` from receipt to answer.
-    pub fn send_deadline(&mut self, request: &Request, budget_ms: u32) -> Result<u64> {
-        let deadline = self.op_deadline();
-        let id = self.next_id;
-        self.next_id += 1;
-        let tagged = request.clone().tagged_deadline(id, budget_ms);
-        self.write_request(&tagged.encode(), deadline)?;
-        Ok(id)
-    }
-
-    /// Pipelined receive (protocol v2): the next tagged reply as `(id, response)`.
-    /// Replies may arrive out of request order; match them by id.
+    /// Pipelined receive: the next tagged reply as `(id, response)`. Replies
+    /// may arrive out of request order; match them by id.
     pub fn recv(&mut self) -> Result<(u64, Response)> {
         let deadline = self.op_deadline();
         let payload = self.read_reply(deadline)?;
@@ -222,214 +227,131 @@ impl Client {
         }
     }
 
-    /// Map a non-success reply onto the error taxonomy: overload and deadline
-    /// verdicts keep their own variants (so retry policy never string-matches),
-    /// plain errors become [`ServeError::Remote`].
-    fn error_from(resp: Response, op: &str) -> ServeError {
-        match resp {
-            Response::Error(msg) => ServeError::Remote(msg),
-            Response::Overloaded(msg) => ServeError::Overloaded(msg),
-            Response::DeadlineExceeded(msg) => ServeError::DeadlineExceeded(msg),
-            other => ServeError::Protocol(format!("unexpected reply to {op}: {other:?}")),
-        }
-    }
-
     /// Project instances through a stored model; the reply is bit-exact against the
     /// in-process `transform` of the same model.
     pub fn transform(&mut self, model: &str, inputs: &[Matrix]) -> Result<Matrix> {
-        match self.call(&Request::Transform {
+        let request = Request::Transform {
             model: model.to_string(),
             inputs: inputs.to_vec(),
-        })? {
-            Response::Embedding(z) => Ok(z),
-            other => Err(Self::error_from(other, "Transform")),
-        }
+        };
+        embedding(self.call(request, 0)?)
     }
 
-    /// [`Client::transform`] with `budget_ms` of deadline on the wire (v4).
-    pub fn transform_deadline(
-        &mut self,
-        model: &str,
-        inputs: &[Matrix],
-        budget_ms: u32,
-    ) -> Result<Matrix> {
-        match self.call_deadline(
-            Request::Transform {
-                model: model.to_string(),
-                inputs: inputs.to_vec(),
-            },
-            budget_ms,
-        )? {
-            Response::Embedding(z) => Ok(z),
-            other => Err(Self::error_from(other, "Transform")),
-        }
-    }
-
-    /// Project a single view through the model's per-view projection (v2), at
-    /// the default `f64` precision.
+    /// Project a single view through the model's per-view projection, at the
+    /// default `f64` precision.
     pub fn transform_view(&mut self, model: &str, view: usize, input: &Matrix) -> Result<Matrix> {
-        self.transform_view_precision(model, view, input, Precision::F64)
-    }
-
-    /// [`Client::transform_view`] with an explicit compute precision (v6).
-    /// [`Precision::F32`] travels as the v6 opcode; servers without an `f32`
-    /// shadow for the model serve the `f64` path and the reply is
-    /// indistinguishable in shape.
-    pub fn transform_view_precision(
-        &mut self,
-        model: &str,
-        view: usize,
-        input: &Matrix,
-        precision: Precision,
-    ) -> Result<Matrix> {
-        match self.call(&Request::TransformView {
+        let request = Request::TransformView {
             model: model.to_string(),
             view: view as u32,
             input: input.clone(),
-            precision,
-        })? {
-            Response::Embedding(z) => Ok(z),
-            other => Err(Self::error_from(other, "TransformView")),
-        }
+            precision: Precision::F64,
+        };
+        embedding(self.call(request, 0)?)
     }
 
-    /// [`Client::transform_view`] with `budget_ms` of deadline on the wire (v4).
-    pub fn transform_view_deadline(
-        &mut self,
-        model: &str,
-        view: usize,
-        input: &Matrix,
-        budget_ms: u32,
-    ) -> Result<Matrix> {
-        self.transform_view_deadline_precision(model, view, input, budget_ms, Precision::F64)
-    }
-
-    /// [`Client::transform_view_deadline`] with an explicit compute precision
-    /// (v6).
-    pub fn transform_view_deadline_precision(
-        &mut self,
-        model: &str,
-        view: usize,
-        input: &Matrix,
-        budget_ms: u32,
-        precision: Precision,
-    ) -> Result<Matrix> {
-        match self.call_deadline(
-            Request::TransformView {
-                model: model.to_string(),
-                view: view as u32,
-                input: input.clone(),
-                precision,
-            },
-            budget_ms,
-        )? {
-            Response::Embedding(z) => Ok(z),
-            other => Err(Self::error_from(other, "TransformView")),
-        }
-    }
-
-    /// All named candidate outputs of a stored model (v2) — the serving path for
+    /// All named candidate outputs of a stored model — the serving path for
     /// the multi-candidate baselines whose `transform` rejects by design.
     pub fn outputs(&mut self, model: &str, inputs: &[Matrix]) -> Result<Vec<NamedOutput>> {
-        match self.call(&Request::Outputs {
+        let request = Request::Outputs {
             model: model.to_string(),
             inputs: inputs.to_vec(),
-        })? {
-            Response::Outputs(candidates) => Ok(candidates),
-            other => Err(Self::error_from(other, "Outputs")),
-        }
+        };
+        candidates(self.call(request, 0)?)
     }
 
-    /// [`Client::outputs`] with `budget_ms` of deadline on the wire (v4).
-    pub fn outputs_deadline(
-        &mut self,
-        model: &str,
-        inputs: &[Matrix],
-        budget_ms: u32,
-    ) -> Result<Vec<NamedOutput>> {
-        match self.call_deadline(
-            Request::Outputs {
-                model: model.to_string(),
-                inputs: inputs.to_vec(),
-            },
-            budget_ms,
-        )? {
-            Response::Outputs(candidates) => Ok(candidates),
-            other => Err(Self::error_from(other, "Outputs")),
-        }
-    }
-
-    /// Ask the server to re-scan its model directory (v2). Returns what changed.
+    /// Ask the server to re-scan its model directory. Returns what changed.
     pub fn rescan(&mut self) -> Result<RescanReport> {
-        match self.call(&Request::Rescan)? {
+        match self.call(Request::Rescan, 0)? {
             Response::Rescanned(report) => Ok(report),
-            other => Err(Self::error_from(other, "Rescan")),
+            other => Err(unexpected("Rescan", other)),
         }
     }
 
-    /// The server's observability counters (v3): engine statistics plus trainer
+    /// The server's observability counters: engine statistics plus trainer
     /// counters when a live-refresh trainer is attached.
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>> {
-        match self.call(&Request::Stats)? {
+        match self.call(Request::Stats, 0)? {
             Response::Stats(counters) => Ok(counters),
-            other => Err(Self::error_from(other, "Stats")),
+            other => Err(unexpected("Stats", other)),
         }
     }
 
-    /// Trigger an asynchronous model refresh from live-traffic statistics (v3).
+    /// Trigger an asynchronous model refresh from live-traffic statistics.
     /// Returns the counter snapshot at trigger time; poll [`Client::stats`] for
     /// `trainer/refits` to watch the refresh land.
     pub fn refit(&mut self) -> Result<Vec<(String, u64)>> {
-        match self.call(&Request::Refit)? {
+        match self.call(Request::Refit, 0)? {
             Response::Stats(counters) => Ok(counters),
-            other => Err(Self::error_from(other, "Refit")),
+            other => Err(unexpected("Refit", other)),
         }
     }
 
     /// The server's model catalog.
     pub fn list_models(&mut self) -> Result<Vec<ModelInfo>> {
-        match self.call(&Request::ListModels)? {
+        match self.call(Request::ListModels, 0)? {
             Response::Models(models) => Ok(models),
-            other => Err(Self::error_from(other, "ListModels")),
+            other => Err(unexpected("ListModels", other)),
         }
     }
 
-    /// The cluster membership table of a router-backed server (v5).
+    /// The cluster membership table of a router-backed server.
     pub fn cluster_info(&mut self) -> Result<Vec<ShardInfo>> {
-        match self.call(&Request::ClusterInfo)? {
+        match self.call(Request::ClusterInfo, 0)? {
             Response::Cluster(shards) => Ok(shards),
-            other => Err(Self::error_from(other, "ClusterInfo")),
+            other => Err(unexpected("ClusterInfo", other)),
         }
     }
 
-    /// Admit a new remote shard at `addr` into a router-backed server (v5).
+    /// Admit a new remote shard at `addr` into a router-backed server.
     /// The server validates the shard (connect + ping) before admitting it;
     /// returns the updated cluster snapshot.
     pub fn add_shard(&mut self, addr: &str) -> Result<Vec<ShardInfo>> {
-        match self.call(&Request::AddShard {
+        let request = Request::AddShard {
             addr: addr.to_string(),
-        })? {
+        };
+        match self.call(request, 0)? {
             Response::Cluster(shards) => Ok(shards),
-            other => Err(Self::error_from(other, "AddShard")),
+            other => Err(unexpected("AddShard", other)),
         }
     }
 
-    /// Drain and remove the shard with the given stable id (v5). Blocks until
+    /// Drain and remove the shard with the given stable id. Blocks until
     /// in-flight work on the shard completed (or the server's drain timeout
     /// expired); returns the updated cluster snapshot.
     pub fn remove_shard(&mut self, shard: u64) -> Result<Vec<ShardInfo>> {
-        match self.call(&Request::RemoveShard { shard })? {
+        match self.call(Request::RemoveShard { shard }, 0)? {
             Response::Cluster(shards) => Ok(shards),
-            other => Err(Self::error_from(other, "RemoveShard")),
+            other => Err(unexpected("RemoveShard", other)),
         }
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        match self.call(&Request::Ping)? {
+        match self.call(Request::Ping, 0)? {
             Response::Pong => Ok(()),
-            other => Err(Self::error_from(other, "Ping")),
+            other => Err(unexpected("Ping", other)),
         }
+    }
+}
+
+/// A reply of the wrong kind for `op`.
+fn unexpected(op: &str, reply: Response) -> ServeError {
+    ServeError::Protocol(format!("unexpected reply to {op}: {reply:?}"))
+}
+
+/// The embedding a `Transform` or `TransformView` reply carries.
+pub(crate) fn embedding(reply: Response) -> Result<Matrix> {
+    match reply {
+        Response::Embedding(z) => Ok(z),
+        other => Err(unexpected("a transform", other)),
+    }
+}
+
+/// The candidates an `Outputs` reply carries.
+pub(crate) fn candidates(reply: Response) -> Result<Vec<NamedOutput>> {
+    match reply {
+        Response::Outputs(candidates) => Ok(candidates),
+        other => Err(unexpected("Outputs", other)),
     }
 }
 

@@ -20,12 +20,11 @@
 //!   mid-request failover when a shard dies.
 //! * [`Server`] / [`Client`] — an event-loop TCP server multiplexing all sockets
 //!   on a pluggable readiness [`reactor`] (epoll(7) on Linux, poll(2) as the
-//!   portable fallback, selected at runtime), speaking the length-prefixed frame
-//!   protocol (see [`wire`]; v2 adds tagged request ids for pipelined,
-//!   out-of-order replies, v4 adds wire deadlines and in-band overload verdicts,
-//!   v5 adds live control-plane ops for runtime shard add/remove) plus the
-//!   `tcca_serve` binary, which also offers one-shot CLI modes for offline
-//!   embedding and routing.
+//!   fallback, selected at runtime), speaking the length-prefixed frame
+//!   protocol of [`wire`]: every request travels in one tagged envelope (id plus
+//!   deadline budget) and is answered exactly once under its id, possibly out of
+//!   request order. The `tcca_serve` binary also offers one-shot CLI modes for
+//!   offline embedding and routing.
 //!
 //! The stack protects itself under overload rather than degrading silently:
 //! bounded admission queues shed excess work with in-band
@@ -35,6 +34,8 @@
 //! retry budgets with jittered exponential backoff, and a deterministic fault
 //! layer ([`faults`]) plus the `tcca_serve soak` chaos harness prove the whole
 //! thing under seeded, replayable failure schedules.
+//!
+//! The crate is unix-only: the event loop runs on poll(2)/epoll(7).
 //!
 //! ```no_run
 //! use mvcore::EstimatorRegistry;
@@ -51,6 +52,9 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+
+#[cfg(not(unix))]
+compile_error!("tcca-serve is unix-only: its event loop runs on poll(2)/epoll(7)");
 
 mod batch;
 mod client;

@@ -30,12 +30,10 @@
 
 #[cfg(target_os = "linux")]
 mod epoll_backend;
-#[cfg(unix)]
 mod poll_backend;
 
 #[cfg(target_os = "linux")]
 pub use epoll_backend::EpollReactor;
-#[cfg(unix)]
 pub use poll_backend::PollReactor;
 
 use std::io;
@@ -166,13 +164,11 @@ impl ReactorKind {
 /// Cloneable and cheap: a nonblocking write to the reactor's internal wake
 /// pipe. If the pipe is already full the reactor is guaranteed to wake anyway,
 /// so a failed write is silently ignored.
-#[cfg(unix)]
 #[derive(Clone)]
 pub struct Waker {
     tx: std::sync::Arc<std::os::unix::net::UnixStream>,
 }
 
-#[cfg(unix)]
 impl Waker {
     fn new(tx: std::os::unix::net::UnixStream) -> Self {
         Waker {
@@ -198,7 +194,6 @@ impl Waker {
 ///   empty batch if nothing became ready, and early (possibly empty) when the
 ///   [`Waker`] fires. Wake-pipe traffic is internal and never reported.
 /// * Errors and hangups are reported even under `Interest::NONE`.
-#[cfg(unix)]
 pub trait Reactor: Send {
     /// Which backend this is (for stats and logs).
     fn kind(&self) -> ReactorKind;
@@ -229,7 +224,6 @@ pub trait Reactor: Send {
 /// Requesting [`ReactorKind::Epoll`] on a non-Linux unix is a compile-time
 /// impossibility after [`ReactorKind::resolve`]; this constructor still guards
 /// it at runtime for callers that bypass resolution.
-#[cfg(unix)]
 pub fn new_reactor(kind: ReactorKind) -> io::Result<Box<dyn Reactor>> {
     match kind {
         ReactorKind::Poll => Ok(Box::new(PollReactor::new()?)),
@@ -246,7 +240,7 @@ pub fn new_reactor(kind: ReactorKind) -> io::Result<Box<dyn Reactor>> {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -34,7 +34,7 @@
 //! the moment it expires, and the *remaining* budget is re-encoded onto the
 //! wire for remote shards.
 //!
-//! ## The live control plane (protocol v5)
+//! ## The live control plane
 //!
 //! The shard table is **dynamic**: [`Router::add_shard`] validates a new remote
 //! shard (fresh connect + ping) and admits it under a fresh stable id —
@@ -49,9 +49,10 @@
 //! at runtime are probed and removed ones are forgotten.
 
 use crate::batch::{OutputsCallback, ReplyCallback};
+use crate::client;
 use crate::faults::splitmix64;
 use crate::service::{store_catalog, TransformService};
-use crate::wire::{ModelInfo, NamedOutput, Precision, RescanReport, ShardInfo};
+use crate::wire::{ModelInfo, NamedOutput, Precision, Request, RescanReport, ShardInfo};
 use crate::{BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, Result, ServeError};
 use linalg::Matrix;
 use mvcore::EstimatorRegistry;
@@ -576,7 +577,7 @@ impl Router {
         }
     }
 
-    /// The cluster membership table (what the v5 `ClusterInfo` op returns).
+    /// The cluster membership table (what the `ClusterInfo` op returns).
     pub fn cluster_snapshot(&self) -> Vec<ShardInfo> {
         let routed = {
             let stats = self.inner.stats.lock().expect("router stats lock");
@@ -802,19 +803,16 @@ fn with_remote_conn<T>(
 
 /// Arm a remote attempt against the request deadline: the socket timeout drops
 /// to the time remaining (never above the router's remote timeout), and the
-/// remaining budget in milliseconds is returned for in-band propagation — the
-/// shard sheds the work itself if it can't finish in time.
-fn arm_deadline(
-    c: &mut Client,
-    deadline: Option<Instant>,
-    remote_timeout: Duration,
-) -> Option<u32> {
-    let d = deadline?;
+/// remaining budget in milliseconds (at least 1; `0` = no deadline) is returned
+/// for in-band propagation — the shard sheds the work itself if it can't finish
+/// in time.
+fn arm_deadline(c: &mut Client, deadline: Option<Instant>, remote_timeout: Duration) -> u32 {
+    let Some(d) = deadline else { return 0 };
     let left = d
         .saturating_duration_since(Instant::now())
         .max(Duration::from_millis(1));
     c.set_op_timeout(Some(left.min(remote_timeout)));
-    Some(left.as_millis().min(u128::from(u32::MAX)) as u32)
+    left.as_millis().min(u128::from(u32::MAX)) as u32
 }
 
 impl TransformService for Router {
@@ -841,10 +839,12 @@ impl TransformService for Router {
                 let inputs = Arc::clone(&inputs);
                 inner.clone().io_pool.spawn(move || {
                     cb(with_remote_conn(&inner, &shard, |c| {
-                        match arm_deadline(c, deadline, inner.remote_timeout) {
-                            Some(ms) => c.transform_deadline(&model, &inputs, ms),
-                            None => c.transform(&model, &inputs),
-                        }
+                        let budget = arm_deadline(c, deadline, inner.remote_timeout);
+                        let request = Request::Transform {
+                            model: model.clone(),
+                            inputs: inputs.to_vec(),
+                        };
+                        c.call(request, budget).and_then(client::embedding)
                     }));
                 });
             }
@@ -886,14 +886,16 @@ impl TransformService for Router {
                 let input = Arc::clone(&input);
                 inner.clone().io_pool.spawn(move || {
                     cb(with_remote_conn(&inner, &shard, |c| {
+                        let budget = arm_deadline(c, deadline, inner.remote_timeout);
                         // The precision opt-in survives the hop: the remote
                         // shard decides f32 vs f64 from its own shadow cache.
-                        match arm_deadline(c, deadline, inner.remote_timeout) {
-                            Some(ms) => c.transform_view_deadline_precision(
-                                &model, which, &input, ms, precision,
-                            ),
-                            None => c.transform_view_precision(&model, which, &input, precision),
-                        }
+                        let request = Request::TransformView {
+                            model: model.clone(),
+                            view: which as u32,
+                            input: Matrix::clone(&input),
+                            precision,
+                        };
+                        c.call(request, budget).and_then(client::embedding)
                     }));
                 });
             }
@@ -929,10 +931,12 @@ impl TransformService for Router {
                     let inputs = Arc::clone(&inputs);
                     inner.clone().io_pool.spawn(move || {
                         cb(with_remote_conn(&inner, &shard, |c| {
-                            match arm_deadline(c, deadline, inner.remote_timeout) {
-                                Some(ms) => c.outputs_deadline(&model, &inputs, ms),
-                                None => c.outputs(&model, &inputs),
-                            }
+                            let budget = arm_deadline(c, deadline, inner.remote_timeout);
+                            let request = Request::Outputs {
+                                model: model.clone(),
+                                inputs: inputs.to_vec(),
+                            };
+                            c.call(request, budget).and_then(client::candidates)
                         }));
                     });
                 }
@@ -1040,7 +1044,7 @@ impl TransformService for Router {
         merged.into_iter().collect()
     }
 
-    /// The live membership table (v5 `ClusterInfo`).
+    /// The live membership table (`ClusterInfo`).
     fn cluster(&self) -> Result<Vec<ShardInfo>> {
         self.inner
             .stats
@@ -1050,7 +1054,7 @@ impl TransformService for Router {
         Ok(self.cluster_snapshot())
     }
 
-    /// Validate and admit a remote shard (v5 `AddShard`): a fresh connect and
+    /// Validate and admit a remote shard (`AddShard`): a fresh connect and
     /// ping must succeed before the shard enters the table (the probe
     /// connection seeds its pool), so a typo'd address is an in-band error,
     /// never a dead shard in rotation. Rendezvous hashing remaps only the
@@ -1092,7 +1096,7 @@ impl TransformService for Router {
         Ok(self.cluster_snapshot())
     }
 
-    /// Drain and remove a shard (v5 `RemoveShard`): mark it draining (new
+    /// Drain and remove a shard (`RemoveShard`): mark it draining (new
     /// requests stop routing to it immediately), wait for its in-flight count
     /// to reach zero (bounded by [`RouterConfig::drain_timeout`]), then take it
     /// out of the table — stopping a local shard's engine only after the

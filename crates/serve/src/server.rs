@@ -3,48 +3,43 @@
 //! One thread owns every socket. The loop multiplexes the listener and all
 //! client connections through nonblocking readiness on a pluggable
 //! [`Reactor`](crate::reactor::Reactor) — epoll(7) on Linux by default, the
-//! portable poll(2) backend as fallback, selected at runtime via
+//! poll(2) backend as fallback, selected at runtime via
 //! [`ServerTuning::reactor`] or the `TCCA_REACTOR` environment variable.
 //! Registrations are persistent: interest is modified only when a connection's
 //! state changes (backpressure, pending writes, closing), so an epoll wakeup
 //! costs O(ready events) no matter how many idle connections are parked.
 //!
-//! Nothing slow runs on the loop. Transform work is submitted to a
-//! [`TransformService`] (a [`BatchEngine`] or a [`crate::Router`]) with a
-//! completion callback that encodes the reply, pushes it onto a completion
-//! queue and pokes the waker. Metadata and control-plane ops (`ListModels`,
-//! `Rescan`, `Stats`, `Refit`, and the v5 `AddShard`/`RemoveShard`/
+//! Every request arrives in the tagged envelope (see [`crate::wire`]) and is
+//! answered exactly once under its id. Nothing slow runs on the loop. Transform
+//! work is submitted to a [`TransformService`] (a [`BatchEngine`] or a
+//! [`crate::Router`]) with a completion callback that encodes the reply, pushes
+//! it onto a completion queue and pokes the waker. Metadata and control-plane
+//! ops (`ListModels`, `Rescan`, `Stats`, `Refit`, `AddShard`, `RemoveShard`,
 //! `ClusterInfo`) run on a dedicated **control thread** through the same
 //! completion-queue handoff — a rescan fanning out to slow remote shards, or a
 //! drain-before-remove that waits for in-flight work, can never stall
-//! transform traffic. Only `Ping` is answered inline. Tagged (protocol v2)
-//! replies may overtake in-flight work out of request order; untagged (v1)
-//! replies pass through a per-connection sequencing gate instead, so a v1
-//! client pipelining plain frames still sees replies in request order, exactly
-//! like the thread-per-connection server this replaced. A connection that
-//! half-closes after sending requests stays alive until every owed reply has
-//! been written.
+//! transform traffic. Only `Ping` is answered inline. The callback is a guard:
+//! a service that drops it uncalled (a model panicked and unwound its batch)
+//! still answers the request, with an in-band [`Response::Error`]. A
+//! connection that half-closes after sending requests stays alive until every
+//! owed reply has been written.
 //!
-//! Malformed frames get an in-band [`Response::Error`] instead of a dropped
-//! connection wherever the frame boundary is still trustworthy (bad opcode, bad
-//! payload); only framing-level violations (oversized declared length, EOF mid
-//! frame) close the connection — after an error reply is flushed where possible.
+//! An untagged or undecodable frame gets one untagged in-band
+//! [`Response::Error`] instead of a dropped connection wherever the frame
+//! boundary is still trustworthy; only framing-level violations (oversized
+//! declared length, EOF mid frame) close the connection — after an error reply
+//! is flushed where possible.
 
+use crate::reactor::{self, Event, Interest, Reactor, Waker};
 use crate::service::TransformService;
-use crate::wire::{Request, Response};
+use crate::wire::{Request, Response, MAX_FRAME_LEN};
 use crate::{BatchConfig, BatchEngine, ModelStore, ReactorKind, Result, ServeError};
 use std::collections::VecDeque;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-#[cfg(unix)]
-use crate::reactor::{self, Event, Interest, Reactor};
-#[cfg(unix)]
-use crate::wire::MAX_FRAME_LEN;
-#[cfg(unix)]
-use std::io::Read;
 
 /// Connections accepted at once; beyond this the listener's read interest is
 /// dropped until a slot frees up (pending connections wait in the OS backlog).
@@ -56,14 +51,12 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Bytes read per readiness event per socket before yielding back to the loop, so
 /// one firehose connection cannot starve its neighbours (both reactor backends
 /// are level-triggered: leftover bytes re-report readiness on the next pass).
-#[cfg(unix)]
 const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// Write-buffer high-water mark: while a connection has this many unflushed reply
 /// bytes, the loop stops reading (and so parsing) new requests from it. A client
 /// that pipelines requests but never reads its replies gets backpressure instead
-/// of growing `wbuf` without bound — the same effect the old thread-per-connection
-/// server got from blocking on `write_frame`.
+/// of growing `wbuf` without bound.
 const WBUF_HIGH_WATER: usize = 8 * 1024 * 1024;
 
 /// Default cap on async replies owed to a single connection before further
@@ -72,7 +65,6 @@ const MAX_INFLIGHT_PER_CONN: usize = 1024;
 
 /// Token the listener is registered under; connection tokens are slot indices,
 /// far below this.
-#[cfg(unix)]
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
 /// Tunable per-connection limits for a bound server. The defaults match the
@@ -81,8 +73,7 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 #[derive(Debug, Clone, Copy)]
 pub struct ServerTuning {
     /// Write-buffer high-water mark: while a connection holds this many
-    /// unflushed (or v1-order-held) reply bytes, the loop stops reading new
-    /// requests from it.
+    /// unflushed reply bytes, the loop stops reading new requests from it.
     pub wbuf_high_water: usize,
     /// Maximum async replies owed to one connection. A request that would
     /// exceed it is answered with an in-band [`Response::Overloaded`] instead
@@ -128,21 +119,60 @@ fn merge_counters(counters: &mut Vec<(String, u64)>, extra: Vec<(String, u64)>) 
     }
 }
 
-/// A completed transform reply waiting to be copied into a connection's write
-/// buffer: `(connection slot, slot generation, v1 ordering sequence for untagged
-/// requests, encoded response payload)`.
-type Completion = (usize, u64, Option<u64>, Vec<u8>);
+/// A completed reply waiting to be copied into a connection's write buffer:
+/// `(connection slot, slot generation, encoded tagged response)`.
+type Completion = (usize, u64, Vec<u8>);
 
-/// Wakes the event loop from worker threads (completion callbacks, shutdown).
-struct LoopWaker {
-    #[cfg(unix)]
-    inner: reactor::Waker,
+/// Where worker threads hand finished replies to the event loop.
+struct Outbox {
+    completions: Mutex<Vec<Completion>>,
+    waker: Waker,
 }
 
-impl LoopWaker {
-    fn wake(&self) {
-        #[cfg(unix)]
-        self.inner.wake();
+impl Outbox {
+    fn push(&self, completion: Completion) {
+        // Every update is one push or one take, so the queue is valid even
+        // after a panic elsewhere poisoned the lock; a `Reply` dropped during
+        // unwinding must still get its error out.
+        self.completions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(completion);
+        self.waker.wake();
+    }
+}
+
+/// The one reply owed to one request. [`Reply::send`] queues it under the
+/// request's id; a `Reply` dropped unsent — its callback was dropped without
+/// being called, as when a model panics and unwinds its batch — queues an
+/// in-band [`Response::Error`] instead, so every request is answered exactly
+/// once.
+struct Reply {
+    outbox: Arc<Outbox>,
+    slot: usize,
+    gen: u64,
+    id: u64,
+    sent: bool,
+}
+
+impl Reply {
+    fn send(mut self, resp: Response) {
+        self.sent = true;
+        self.outbox
+            .push((self.slot, self.gen, resp.tagged(self.id).encode()));
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            let resp = Response::Error(
+                "internal error: the request was dropped without a reply (the model may have panicked)"
+                    .into(),
+            );
+            self.outbox
+                .push((self.slot, self.gen, resp.tagged(self.id).encode()));
+        }
     }
 }
 
@@ -206,8 +236,7 @@ pub struct Server {
     service: Arc<dyn TransformService>,
     engine: Option<Arc<BatchEngine>>,
     stop: Arc<AtomicBool>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    waker: Arc<LoopWaker>,
+    outbox: Arc<Outbox>,
     tuning: ServerTuning,
     control: Arc<ControlQueue>,
     /// Connections that crossed the write-buffer high-water mark (counted once
@@ -219,10 +248,8 @@ pub struct Server {
     wakeups: AtomicU64,
     /// Readiness events delivered across all wakeups.
     loop_events: AtomicU64,
-    #[cfg(unix)]
     backend: ReactorKind,
     /// The reactor, parked here between bind and run (`run` takes it).
-    #[cfg(unix)]
     reactor: Mutex<Option<Box<dyn Reactor>>>,
 }
 
@@ -272,45 +299,30 @@ impl Server {
         tuning: ServerTuning,
     ) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        #[cfg(unix)]
-        let (reactor, waker, backend) = {
-            let r = reactor::new_reactor(ReactorKind::resolve(tuning.reactor))?;
-            let waker = LoopWaker { inner: r.waker() };
-            let backend = r.kind();
-            (Mutex::new(Some(r)), waker, backend)
-        };
-        #[cfg(not(unix))]
-        let waker = LoopWaker {};
+        let reactor = reactor::new_reactor(ReactorKind::resolve(tuning.reactor))?;
         Ok(Self {
             listener,
             service,
             engine: None,
             stop: Arc::new(AtomicBool::new(false)),
-            completions: Arc::new(Mutex::new(Vec::new())),
-            waker: Arc::new(waker),
+            outbox: Arc::new(Outbox {
+                completions: Mutex::new(Vec::new()),
+                waker: reactor.waker(),
+            }),
             tuning,
             control: Arc::new(ControlQueue::new()),
             throttled: AtomicU64::new(0),
             shed_inflight: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             loop_events: AtomicU64::new(0),
-            #[cfg(unix)]
-            backend,
-            #[cfg(unix)]
-            reactor,
+            backend: reactor.kind(),
+            reactor: Mutex::new(Some(reactor)),
         })
     }
 
     /// Which readiness backend this server's event loop runs on.
     pub fn backend(&self) -> ReactorKind {
-        #[cfg(unix)]
-        {
-            self.backend
-        }
-        #[cfg(not(unix))]
-        {
-            ReactorKind::Poll
-        }
+        self.backend
     }
 
     /// This front's own counters (merged over the service's by `Stats`).
@@ -318,7 +330,7 @@ impl Server {
         let wakeups = self.wakeups.load(Ordering::Relaxed);
         let events = self.loop_events.load(Ordering::Relaxed);
         vec![
-            ("server/backend".into(), self.backend().id()),
+            ("server/backend".into(), self.backend.id()),
             (
                 "server/throttled".into(),
                 self.throttled.load(Ordering::Relaxed),
@@ -350,8 +362,7 @@ impl Server {
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
             stop: Arc::clone(&self.stop),
-            waker: Arc::clone(&self.waker),
-            addr: self.listener.local_addr().ok(),
+            waker: self.outbox.waker.clone(),
         }
     }
 
@@ -359,213 +370,149 @@ impl Server {
     /// connection is serviced by this one thread plus the service's workers and
     /// the control thread.
     pub fn run(&self) -> Result<()> {
-        #[cfg(unix)]
-        {
-            self.run_event_loop()
-        }
-        #[cfg(not(unix))]
-        {
-            self.run_threaded()
-        }
+        let mut reactor = self
+            .reactor
+            .lock()
+            .expect("reactor lock")
+            .take()
+            .ok_or_else(|| {
+                ServeError::Io(std::io::Error::other(
+                    "server event loop already ran; bind a fresh server",
+                ))
+            })?;
+
+        // The control thread lives exactly as long as the loop: metadata and
+        // control-plane ops queued by the loop run here, off the socket path.
+        let control = Arc::clone(&self.control);
+        let worker = std::thread::Builder::new()
+            .name("tcca-serve-control".into())
+            .spawn(move || control.run())
+            .map_err(ServeError::Io)?;
+
+        let result = self.event_loop(reactor.as_mut());
+        self.control.stop();
+        let _ = worker.join();
+        result
     }
 
-    /// Dispatch one untagged request. `Ping` answers inline (the returned
-    /// response, already tagged when `id` is set); everything else is
-    /// asynchronous (returns `None`) and replies through the completion queue,
-    /// carrying `v1_seq` so untagged replies regain request order — transforms
-    /// via the service's workers, metadata and control-plane ops via the
-    /// control thread.
-    fn handle_request(
-        &self,
-        conn_id: usize,
-        gen: u64,
-        id: Option<u64>,
-        v1_seq: Option<u64>,
-        deadline: Option<Instant>,
-        inner: Request,
-    ) -> Option<Response> {
-        let tag = move |resp: Response| match id {
-            Some(id) => resp.tagged(id),
-            None => resp,
+    /// Dispatch one request unwrapped from its envelope. `Ping` and an in-flight
+    /// shed are answered inline; everything else replies through the completion
+    /// queue — transforms via the service's workers, metadata and control-plane
+    /// ops via the control thread.
+    fn dispatch(&self, slot: usize, conn: &mut Conn, id: u64, deadline_ms: u32, inner: Request) {
+        let inline = match &inner {
+            Request::Ping => Some(Response::Pong),
+            // Decode rejects nested envelopes.
+            Request::Tagged { .. } => Some(Response::Error("nested tagged request".into())),
+            // Admission control: a connection already owed its full in-flight
+            // quota of async replies gets an in-band shed instead of another
+            // engine submission. Metadata and control ops are exempt —
+            // observability must stay responsive on a loaded connection.
+            Request::Transform { .. } | Request::TransformView { .. } | Request::Outputs { .. }
+                if conn.inflight >= self.tuning.max_inflight_per_conn =>
+            {
+                self.shed_inflight.fetch_add(1, Ordering::Relaxed);
+                Some(Response::Overloaded(format!(
+                    "connection at its in-flight limit ({} pending)",
+                    conn.inflight
+                )))
+            }
+            _ => None,
+        };
+        if let Some(resp) = inline {
+            conn.queue_frame(&resp.tagged(id).encode());
+            return;
+        }
+        conn.inflight += 1;
+        let reply = Reply {
+            outbox: Arc::clone(&self.outbox),
+            slot,
+            gen: conn.gen,
+            id,
+            sent: false,
+        };
+        // The wire deadline is a relative budget: the clock starts at receipt.
+        let deadline = (deadline_ms > 0)
+            .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+        let embedding = |reply: Reply| -> crate::ReplyCallback {
+            Box::new(move |result| {
+                reply.send(result.map_or_else(error_response, Response::Embedding))
+            })
         };
         match inner {
-            Request::Ping => Some(tag(Response::Pong)),
-            Request::ListModels => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    complete(match service.catalog() {
-                        Ok(models) => Response::Models(models),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
-            Request::Rescan => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    complete(match service.rescan() {
-                        Ok(report) => Response::Rescanned(report),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
-            Request::Stats => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                // Snapshot this front's counters on the loop; the service's
-                // counters (which may fan out to remote shards) off it.
-                let own = self.own_counters();
-                self.control.push(Box::new(move || {
-                    let mut counters = service.stats();
-                    // `server/backend` is an id, not a count: summing it across
-                    // layered servers (a front over remote shards, each
-                    // reporting its own loop) would scramble it. This front's
-                    // value wins; query a shard directly for its backend.
-                    counters.retain(|(name, _)| name != "server/backend");
-                    merge_counters(&mut counters, own);
-                    complete(Response::Stats(counters));
-                }));
-                None
-            }
-            Request::Refit => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    complete(match service.trigger_refit() {
-                        Ok(counters) => Response::Stats(counters),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
-            Request::AddShard { addr } => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    complete(match service.add_shard(&addr) {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
-            Request::RemoveShard { shard } => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    // Blocks the control thread for the drain, not the loop.
-                    complete(match service.remove_shard(shard) {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
-            Request::ClusterInfo => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                let service = Arc::clone(&self.service);
-                self.control.push(Box::new(move || {
-                    complete(match service.cluster() {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    })
-                }));
-                None
-            }
             Request::Transform { model, inputs } => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                self.service.submit_transform(
-                    &model,
-                    std::sync::Arc::new(inputs),
-                    deadline,
-                    Box::new(move |result| {
-                        complete(match result {
-                            Ok(z) => Response::Embedding(z),
-                            Err(e) => error_response(e),
-                        })
-                    }),
-                );
-                None
+                self.service
+                    .submit_transform(&model, Arc::new(inputs), deadline, embedding(reply))
             }
             Request::TransformView {
                 model,
                 view,
                 input,
                 precision,
-            } => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                self.service.submit_transform_view(
-                    &model,
-                    view as usize,
-                    std::sync::Arc::new(input),
-                    precision,
-                    deadline,
-                    Box::new(move |result| {
-                        complete(match result {
-                            Ok(z) => Response::Embedding(z),
-                            Err(e) => error_response(e),
-                        })
-                    }),
-                );
-                None
+            } => self.service.submit_transform_view(
+                &model,
+                view as usize,
+                Arc::new(input),
+                precision,
+                deadline,
+                embedding(reply),
+            ),
+            Request::Outputs { model, inputs } => self.service.submit_outputs(
+                &model,
+                Arc::new(inputs),
+                deadline,
+                Box::new(move |result| {
+                    reply.send(result.map_or_else(error_response, Response::Outputs))
+                }),
+            ),
+            Request::ListModels => self.control(reply, |s| s.catalog().map(Response::Models)),
+            Request::Rescan => self.control(reply, |s| s.rescan().map(Response::Rescanned)),
+            Request::Refit => self.control(reply, |s| s.trigger_refit().map(Response::Stats)),
+            Request::ClusterInfo => self.control(reply, |s| s.cluster().map(Response::Cluster)),
+            Request::AddShard { addr } => {
+                self.control(reply, move |s| s.add_shard(&addr).map(Response::Cluster))
             }
-            Request::Outputs { model, inputs } => {
-                let complete = self.completer(conn_id, gen, id, v1_seq);
-                self.service.submit_outputs(
-                    &model,
-                    std::sync::Arc::new(inputs),
-                    deadline,
-                    Box::new(move |result| {
-                        complete(match result {
-                            Ok(candidates) => Response::Outputs(candidates),
-                            Err(e) => error_response(e),
-                        })
-                    }),
-                );
-                None
+            // Blocks the control thread for the drain, not the loop.
+            Request::RemoveShard { shard } => {
+                self.control(reply, move |s| s.remove_shard(shard).map(Response::Cluster))
             }
-            Request::Tagged { .. } => {
-                // Decode rejects nested tags; unreachable but harmless.
-                Some(tag(Response::Error("nested tagged request".into())))
+            Request::Stats => {
+                // Snapshot this front's counters on the loop; the service's
+                // counters (which may fan out to remote shards) off it.
+                let own = self.own_counters();
+                self.control(reply, move |s| {
+                    let mut counters = s.stats();
+                    // `server/backend` is an id, not a count: summing it across
+                    // layered servers (a front over remote shards, each
+                    // reporting its own loop) would scramble it. This front's
+                    // value wins; query a shard directly for its backend.
+                    counters.retain(|(name, _)| name != "server/backend");
+                    merge_counters(&mut counters, own);
+                    Ok(Response::Stats(counters))
+                })
             }
+            Request::Ping | Request::Tagged { .. } => unreachable!("answered inline"),
         }
     }
 
-    /// A callback that encodes a reply (tagged when the request was), pushes it on
-    /// the completion queue and wakes the event loop. Invoked once from a worker.
-    fn completer(
+    /// Run a metadata or control-plane op on the control thread and send its
+    /// outcome as the reply.
+    fn control(
         &self,
-        conn_id: usize,
-        gen: u64,
-        id: Option<u64>,
-        v1_seq: Option<u64>,
-    ) -> impl Fn(Response) + Send {
-        let completions = Arc::clone(&self.completions);
-        let waker = Arc::clone(&self.waker);
-        move |resp: Response| {
-            let resp = match id {
-                Some(id) => resp.tagged(id),
-                None => resp,
-            };
-            completions.lock().expect("completion queue lock").push((
-                conn_id,
-                gen,
-                v1_seq,
-                resp.encode(),
-            ));
-            waker.wake();
-        }
+        reply: Reply,
+        op: impl FnOnce(&dyn TransformService) -> Result<Response> + Send + 'static,
+    ) {
+        let service = Arc::clone(&self.service);
+        self.control.push(Box::new(move || {
+            reply.send(op(service.as_ref()).unwrap_or_else(error_response))
+        }));
     }
 }
 
 /// Makes a running [`Server::run`] loop return.
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
-    waker: Arc<LoopWaker>,
-    addr: Option<SocketAddr>,
+    waker: Waker,
 }
 
 impl ShutdownHandle {
@@ -573,16 +520,10 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
-        // Also poke the listener in case the loop is in a blocking accept
-        // (non-unix threaded fallback).
-        if let Some(addr) = self.addr {
-            let _ = TcpStream::connect(addr);
-        }
     }
 }
 
 /// One client connection's event-loop state.
-#[cfg(unix)]
 struct Conn {
     stream: TcpStream,
     /// Slot generation: completions for a previous tenant of this slot are dropped.
@@ -604,40 +545,16 @@ struct Conn {
     /// (client sent its requests, then `shutdown(SHUT_WR)`, and is reading) stays
     /// alive until every owed reply has been queued.
     inflight: usize,
-    /// Next sequence number assigned to an untagged (v1) request.
-    v1_assign: u64,
-    /// Next untagged reply sequence allowed onto the wire.
-    v1_send: u64,
-    /// Untagged replies that completed out of order, held until their turn — v1
-    /// clients are promised replies in request order.
-    v1_held: std::collections::BTreeMap<u64, Vec<u8>>,
-    /// Total payload bytes parked in `v1_held`, counted against the write
-    /// backpressure high-water mark (a reply held behind a slow earlier request
-    /// occupies memory just like one sitting in `wbuf`).
-    v1_held_bytes: usize,
     /// Whether the last loop pass had this connection above the write-buffer
     /// high-water mark — lets the server count excursions, not loop passes.
     was_throttled: bool,
 }
 
-#[cfg(unix)]
 impl Conn {
     fn queue_frame(&mut self, payload: &[u8]) {
         self.wbuf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.wbuf.extend_from_slice(payload);
-    }
-
-    /// Queue an untagged reply in request order: hold it until every untagged
-    /// reply with a smaller sequence number has been queued.
-    fn deliver_v1(&mut self, seq: u64, payload: Vec<u8>) {
-        self.v1_held_bytes += payload.len();
-        self.v1_held.insert(seq, payload);
-        while let Some(ready) = self.v1_held.remove(&self.v1_send) {
-            self.v1_held_bytes -= ready.len();
-            self.queue_frame(&ready);
-            self.v1_send += 1;
-        }
     }
 
     /// Write as much of `wbuf` as the socket accepts right now.
@@ -667,34 +584,7 @@ impl Conn {
     }
 }
 
-#[cfg(unix)]
 impl Server {
-    fn run_event_loop(&self) -> Result<()> {
-        let mut reactor = self
-            .reactor
-            .lock()
-            .expect("reactor lock")
-            .take()
-            .ok_or_else(|| {
-                ServeError::Io(std::io::Error::other(
-                    "server event loop already ran; bind a fresh server",
-                ))
-            })?;
-
-        // The control thread lives exactly as long as the loop: metadata and
-        // control-plane ops queued by the loop run here, off the socket path.
-        let control = Arc::clone(&self.control);
-        let worker = std::thread::Builder::new()
-            .name("tcca-serve-control".into())
-            .spawn(move || control.run())
-            .map_err(ServeError::Io)?;
-
-        let result = self.event_loop(reactor.as_mut());
-        self.control.stop();
-        let _ = worker.join();
-        result
-    }
-
     fn event_loop(&self, reactor: &mut dyn Reactor) -> Result<()> {
         use std::os::unix::io::AsRawFd;
 
@@ -711,18 +601,19 @@ impl Server {
                 return Ok(());
             }
 
-            // 1. Drain completions into per-connection write buffers (untagged
-            //    replies via the v1 ordering gate).
-            let ready: Vec<Completion> =
-                std::mem::take(&mut *self.completions.lock().expect("completion queue lock"));
-            for (conn_id, gen, v1_seq, payload) in ready {
-                if let Some(Some(conn)) = conns.get_mut(conn_id) {
+            // 1. Drain completions into per-connection write buffers.
+            let ready: Vec<Completion> = std::mem::take(
+                &mut *self
+                    .outbox
+                    .completions
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+            for (slot, gen, payload) in ready {
+                if let Some(Some(conn)) = conns.get_mut(slot) {
                     if conn.gen == gen && !conn.dead {
                         conn.inflight = conn.inflight.saturating_sub(1);
-                        match v1_seq {
-                            Some(seq) => conn.deliver_v1(seq, payload),
-                            None => conn.queue_frame(&payload),
-                        }
+                        conn.queue_frame(&payload);
                     }
                 }
             }
@@ -743,8 +634,8 @@ impl Server {
                 let Some(conn) = conn else { continue };
                 live += 1;
                 // Backpressure: stop reading while the peer owes us a drain.
-                let throttled = conn.wbuf.len().saturating_sub(conn.wpos) + conn.v1_held_bytes
-                    >= self.tuning.wbuf_high_water;
+                let throttled =
+                    conn.wbuf.len().saturating_sub(conn.wpos) >= self.tuning.wbuf_high_water;
                 if throttled && !conn.was_throttled {
                     self.throttled.fetch_add(1, Ordering::Relaxed);
                 }
@@ -830,10 +721,6 @@ impl Server {
                         closing: false,
                         dead: false,
                         inflight: 0,
-                        v1_assign: 0,
-                        v1_send: 0,
-                        v1_held: std::collections::BTreeMap::new(),
-                        v1_held_bytes: 0,
                         was_throttled: false,
                     };
                     *next_gen += 1;
@@ -917,89 +804,39 @@ impl Server {
             let len =
                 u32::from_le_bytes(conn.rbuf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             if len as u64 > u64::from(MAX_FRAME_LEN) {
-                // Framing is lost: reply in-band (ordered behind any replies
-                // still owed), then close after flushing.
-                let seq = conn.v1_assign;
-                conn.v1_assign += 1;
-                let resp = Response::Error(format!(
-                    "protocol violation: frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
-                ));
-                conn.deliver_v1(seq, resp.encode());
+                // Framing is lost: reply in-band, then close after flushing
+                // (and after every reply still owed has been written).
+                conn.queue_frame(
+                    &Response::Error(format!(
+                        "protocol violation: frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
+                    ))
+                    .encode(),
+                );
                 conn.closing = true;
                 break;
             }
             if conn.rbuf.len() - pos - 4 < len {
                 break; // incomplete frame: wait for more bytes
             }
-            let payload = conn.rbuf[pos + 4..pos + 4 + len].to_vec();
+            let decoded = Request::decode(&conn.rbuf[pos + 4..pos + 4 + len]);
             pos += 4 + len;
-            match Request::decode(&payload) {
-                Ok(req) => {
-                    let (id, deadline_ms, inner) = match req {
-                        Request::Tagged {
-                            id,
-                            deadline_ms,
-                            inner,
-                        } => (Some(id), deadline_ms, *inner),
-                        other => (None, None, other),
-                    };
-                    // The wire deadline is a relative budget: the clock starts
-                    // at receipt (absolute instants don't survive the wire).
-                    let deadline =
-                        deadline_ms.map(|ms| Instant::now() + Duration::from_millis(u64::from(ms)));
-                    // Untagged requests get a sequence number so their replies go
-                    // out in request order even when an async transform is slower
-                    // than a later cheap op. Tagged replies may overtake freely.
-                    let v1_seq = if id.is_none() {
-                        let seq = conn.v1_assign;
-                        conn.v1_assign += 1;
-                        Some(seq)
-                    } else {
-                        None
-                    };
-                    // Admission control: a connection already owed its full
-                    // in-flight quota of async replies gets an in-band shed
-                    // instead of another engine submission. Metadata and
-                    // control ops are exempt — observability must stay
-                    // responsive on a loaded connection.
-                    let wants_transform = matches!(
-                        inner,
-                        Request::Transform { .. }
-                            | Request::TransformView { .. }
-                            | Request::Outputs { .. }
-                    );
-                    if wants_transform && conn.inflight >= self.tuning.max_inflight_per_conn {
-                        self.shed_inflight.fetch_add(1, Ordering::Relaxed);
-                        let resp = Response::Overloaded(format!(
-                            "connection at its in-flight limit ({} pending)",
-                            conn.inflight
-                        ));
-                        let resp = match id {
-                            Some(id) => resp.tagged(id),
-                            None => resp,
-                        };
-                        match v1_seq {
-                            Some(seq) => conn.deliver_v1(seq, resp.encode()),
-                            None => conn.queue_frame(&resp.encode()),
-                        }
-                        continue;
-                    }
-                    match self.handle_request(slot, conn.gen, id, v1_seq, deadline, inner) {
-                        Some(resp) => match v1_seq {
-                            Some(seq) => conn.deliver_v1(seq, resp.encode()),
-                            None => conn.queue_frame(&resp.encode()),
-                        },
-                        None => conn.inflight += 1,
-                    }
-                }
-                Err(e) => {
-                    // The frame boundary held; the *content* was bad. Reply
-                    // in-band (in order — the frame was untagged as far as the
-                    // client's reply matching cares) and keep serving.
-                    let seq = conn.v1_assign;
-                    conn.v1_assign += 1;
-                    conn.deliver_v1(seq, Response::Error(e.to_string()).encode());
-                }
+            // The frame boundary held, so anything wrong with the *content* is
+            // answered in-band (untagged: there is no trustworthy id) and the
+            // connection keeps serving.
+            match decoded {
+                Ok(Request::Tagged {
+                    id,
+                    deadline_ms,
+                    inner,
+                }) => self.dispatch(slot, conn, id, deadline_ms, *inner),
+                Ok(_) => conn.queue_frame(
+                    &Response::Error(
+                        "protocol violation: untagged request (every request travels in the tagged envelope)"
+                            .into(),
+                    )
+                    .encode(),
+                ),
+                Err(e) => conn.queue_frame(&Response::Error(e.to_string()).encode()),
             }
         }
         conn.rbuf.drain(..pos);
@@ -1007,151 +844,14 @@ impl Server {
         if eof {
             if !conn.rbuf.is_empty() && !conn.closing {
                 // Peer hung up mid-frame; tell it (it may still read) and close.
-                // Through the ordering gate, so earlier replies still in flight
-                // reach the wire first.
-                let seq = conn.v1_assign;
-                conn.v1_assign += 1;
-                conn.deliver_v1(
-                    seq,
-                    Response::Error("protocol violation: connection closed mid frame".into())
+                conn.queue_frame(
+                    &Response::Error("protocol violation: connection closed mid frame".into())
                         .encode(),
                 );
             }
             conn.closing = true;
         }
     }
-}
-
-/// Fallback for platforms without `poll`: the classic thread-per-connection loop.
-#[cfg(not(unix))]
-impl Server {
-    fn run_threaded(&self) -> Result<()> {
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let service = Arc::clone(&self.service);
-            std::thread::spawn(move || {
-                let _ = serve_blocking(stream, &service);
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Blocking per-connection loop used by the non-unix fallback.
-#[cfg(not(unix))]
-fn serve_blocking(stream: TcpStream, service: &Arc<dyn TransformService>) -> Result<()> {
-    use crate::wire::{read_frame, write_frame};
-    use crate::ServeError;
-    stream.set_nodelay(true)?;
-    let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    while let Some(payload) = read_frame(&mut reader)? {
-        let response = match Request::decode(&payload) {
-            Ok(req) => {
-                let (id, deadline_ms, inner) = match req {
-                    Request::Tagged {
-                        id,
-                        deadline_ms,
-                        inner,
-                    } => (Some(id), deadline_ms, *inner),
-                    other => (None, None, other),
-                };
-                let deadline =
-                    deadline_ms.map(|ms| Instant::now() + Duration::from_millis(u64::from(ms)));
-                let resp = match inner {
-                    Request::Ping => Response::Pong,
-                    Request::ListModels => match service.catalog() {
-                        Ok(models) => Response::Models(models),
-                        Err(e) => error_response(e),
-                    },
-                    Request::Rescan => match service.rescan() {
-                        Ok(report) => Response::Rescanned(report),
-                        Err(e) => error_response(e),
-                    },
-                    Request::Stats => Response::Stats(service.stats()),
-                    Request::Refit => match service.trigger_refit() {
-                        Ok(counters) => Response::Stats(counters),
-                        Err(e) => error_response(e),
-                    },
-                    Request::AddShard { addr } => match service.add_shard(&addr) {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    },
-                    Request::RemoveShard { shard } => match service.remove_shard(shard) {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    },
-                    Request::ClusterInfo => match service.cluster() {
-                        Ok(shards) => Response::Cluster(shards),
-                        Err(e) => error_response(e),
-                    },
-                    Request::Transform { model, inputs } => {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                        service.submit_transform(
-                            &model,
-                            std::sync::Arc::new(inputs),
-                            deadline,
-                            Box::new(move |r| drop(tx.send(r))),
-                        );
-                        match rx.recv() {
-                            Ok(Ok(z)) => Response::Embedding(z),
-                            Ok(Err(e)) => error_response(e),
-                            Err(_) => Response::Error(ServeError::EngineStopped.to_string()),
-                        }
-                    }
-                    Request::TransformView {
-                        model,
-                        view,
-                        input,
-                        precision,
-                    } => {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                        service.submit_transform_view(
-                            &model,
-                            view as usize,
-                            std::sync::Arc::new(input),
-                            precision,
-                            deadline,
-                            Box::new(move |r| drop(tx.send(r))),
-                        );
-                        match rx.recv() {
-                            Ok(Ok(z)) => Response::Embedding(z),
-                            Ok(Err(e)) => error_response(e),
-                            Err(_) => Response::Error(ServeError::EngineStopped.to_string()),
-                        }
-                    }
-                    Request::Outputs { model, inputs } => {
-                        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                        service.submit_outputs(
-                            &model,
-                            std::sync::Arc::new(inputs),
-                            deadline,
-                            Box::new(move |r| drop(tx.send(r))),
-                        );
-                        match rx.recv() {
-                            Ok(Ok(c)) => Response::Outputs(c),
-                            Ok(Err(e)) => error_response(e),
-                            Err(_) => Response::Error(ServeError::EngineStopped.to_string()),
-                        }
-                    }
-                    Request::Tagged { .. } => Response::Error("nested tagged request".into()),
-                };
-                match id {
-                    Some(id) => resp.tagged(id),
-                    None => resp,
-                }
-            }
-            Err(e) => Response::Error(e.to_string()),
-        };
-        write_frame(&mut writer, &response.encode())?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1309,7 +1009,6 @@ mod tests {
 
     /// Serve one transform through a server pinned to the given backend and
     /// return the reply bytes plus the stats counters.
-    #[cfg(unix)]
     fn transform_via_backend(kind: ReactorKind, views: &[Matrix]) -> (Matrix, Vec<(String, u64)>) {
         let registry = EstimatorRegistry::with_builtin();
         let model = registry
@@ -1336,7 +1035,6 @@ mod tests {
         (z, stats)
     }
 
-    #[cfg(unix)]
     #[test]
     fn replies_bit_identical_across_reactor_backends() {
         let views = fixture_views();

@@ -25,7 +25,7 @@ use std::time::Instant;
 /// caller no longer wants the answer. Backends drop expired work in-band (with
 /// [`crate::ServeError::DeadlineExceeded`]) rather than computing dead answers,
 /// and forward the remaining budget across process boundaries (the router
-/// re-encodes it into the v4 wire envelope).
+/// re-encodes it as the wire envelope's deadline budget).
 pub trait TransformService: Send + Sync {
     /// Project instances through the named model (all views).
     fn submit_transform(
@@ -37,7 +37,7 @@ pub trait TransformService: Send + Sync {
     );
 
     /// Project a single view through the model's per-view projection.
-    /// `precision` is the v6 opt-in: [`Precision::F32`] asks for the engine's
+    /// `precision` is the opt-in: [`Precision::F32`] asks for the engine's
     /// cached single-precision shadow of the factor matrices, falling back to
     /// the bit-exact `f64` path when the model has none.
     fn submit_transform_view(
@@ -81,7 +81,7 @@ pub trait TransformService: Send + Sync {
         ))
     }
 
-    /// The cluster membership table (v5). Backends without a shard table — a
+    /// The cluster membership table. Backends without a shard table — a
     /// plain [`BatchEngine`] — report an error; the [`crate::Router`]
     /// overrides all three control-plane ops.
     fn cluster(&self) -> Result<Vec<ShardInfo>> {
@@ -91,7 +91,7 @@ pub trait TransformService: Send + Sync {
     }
 
     /// Validate and admit a new remote shard at `addr`, returning the updated
-    /// cluster snapshot (v5).
+    /// cluster snapshot.
     fn add_shard(&self, addr: &str) -> Result<Vec<ShardInfo>> {
         let _ = addr;
         Err(crate::ServeError::Remote(
@@ -100,7 +100,7 @@ pub trait TransformService: Send + Sync {
     }
 
     /// Drain and remove the shard with the given stable id, returning the
-    /// updated cluster snapshot (v5). Blocks until in-flight work on the shard
+    /// updated cluster snapshot. Blocks until in-flight work on the shard
     /// has completed (or the backend's drain timeout expired).
     fn remove_shard(&self, shard: u64) -> Result<Vec<ShardInfo>> {
         let _ = shard;
@@ -171,7 +171,7 @@ impl TransformService for BatchEngine {
     fn stats(&self) -> Vec<(String, u64)> {
         let mut counters = BatchEngine::stats(self).counters();
         counters.extend(self.store().counters());
-        // Kernel-level observability (v6): how many B-panel packs the shared
+        // Kernel-level observability: how many B-panel packs the shared
         // arena saved other row bands, and which kernel mode this process
         // resolved to (0 = strict, 1 = fma) — a gauge, reported through the
         // same name/value pairs the Stats op merges by name.

@@ -19,7 +19,7 @@
 //!    port, the probe returns both remotes to rotation, and throughput must
 //!    return to ≥ 90% of the baseline. Mid-phase, a **control-plane cycle**
 //!    runs against the live front: a fresh shard is started, admitted with the
-//!    v5 `AddShard` op, serves rebalanced traffic for a third of the phase,
+//!    `AddShard` op, serves rebalanced traffic for a third of the phase,
 //!    and is then drained and removed with `RemoveShard` — all while the
 //!    seeded clients hammer the front, proving zero requests drop across a
 //!    membership change.
@@ -31,7 +31,9 @@
 //! throughput recovers. Every random decision — fault firing, model choice,
 //! burst pacing — derives from one recorded seed, so a failing run replays.
 
+use crate::client;
 use crate::faults::{self, FaultPlan};
+use crate::wire::Request;
 use crate::{
     BatchConfig, Client, ModelStore, Result as ServeResult, RouterBuilder, RouterConfig,
     ServeError, Server, ServerTuning,
@@ -56,7 +58,7 @@ pub struct SoakConfig {
     pub clients: usize,
     /// Wall-clock per phase.
     pub phase: Duration,
-    /// Per-request deadline carried on the wire (v4); `0` sends none.
+    /// Per-request deadline carried on the wire; `0` sends none.
     pub deadline_ms: u32,
     /// Engine admission cap per shard (total queued requests).
     pub max_queue: usize,
@@ -310,11 +312,13 @@ fn client_loop(
             let op = rng.below(100);
             let started = Instant::now();
             let outcome: ServeResult<()> = if op < 70 {
-                if deadline_ms > 0 {
-                    c.transform_deadline(model, &views, deadline_ms).map(|_| ())
-                } else {
-                    c.transform(model, &views).map(|_| ())
-                }
+                let request = Request::Transform {
+                    model: model.clone(),
+                    inputs: views.to_vec(),
+                };
+                c.call(request, deadline_ms)
+                    .and_then(client::embedding)
+                    .map(|_| ())
             } else if op < 85 {
                 c.transform_view(model, 0, &views[0]).map(|_| ())
             } else if op < 95 {
@@ -637,9 +641,9 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
     }
 
     // Mid-recovery control-plane cycle, concurrent with live traffic: start a
-    // fresh shard, admit it through the wire (v5 AddShard), let rebalanced
-    // traffic hit it for a third of the phase, then drain and remove it (v5
-    // RemoveShard). The front's zero-transport-error contract holding across
+    // fresh shard, admit it through the wire (AddShard), let rebalanced
+    // traffic hit it for a third of the phase, then drain and remove it
+    // (RemoveShard). The front's zero-transport-error contract holding across
     // the membership change is the "no dropped requests" proof.
     let control_errors: Arc<std::sync::Mutex<Vec<String>>> =
         Arc::new(std::sync::Mutex::new(Vec::new()));

@@ -6,24 +6,41 @@
 //! `u64 rows, u64 cols` followed by row-major IEEE-754 `f64` bit patterns, exactly
 //! like the `MVTC` persistence format, so embeddings survive the wire bit-for-bit.
 //!
-//! Requests:
+//! ## The envelope
+//!
+//! Every request travels in one fixed header, and its reply comes back in a
+//! `Tagged` response carrying the same id:
+//!
+//! | payload bytes | field |
+//! |---|---|
+//! | 0 | opcode `16` |
+//! | 1..9 | `u64` request id, echoed around the reply |
+//! | 9..13 | `u32` deadline budget in milliseconds from receipt, `0` = none |
+//! | 13.. | the inner request (any opcode below except `16`) |
+//!
+//! Replies may arrive out of request order — cheap ops like `Ping` overtake
+//! in-flight transforms, and different models complete independently — so
+//! clients match them by id. The budget is relative because absolute clocks do
+//! not survive the wire: work still queued when it runs out is answered with
+//! `DeadlineExceeded` instead of being computed. A frame that is not an
+//! envelope, or that fails to decode, gets exactly one *untagged* `Error`
+//! reply, and the connection survives whenever the frame boundary held.
+//!
+//! Inner requests:
 //!
 //! | opcode | message | layout |
 //! |---|---|---|
 //! | 1 | `Transform` | name (`u32` + UTF-8), `u32` input count, matrices |
 //! | 2 | `ListModels` | — |
 //! | 3 | `Ping` | — |
-//! | 4 | `Outputs` | name, `u32` input count, matrices (v2) |
-//! | 5 | `TransformView` | name, `u32` view index, one matrix (v2) |
-//! | 6 | `Rescan` | — (v2) |
-//! | 7 | `Stats` | — (v3) |
-//! | 8 | `Refit` | — (v3) |
-//! | 9 | `AddShard` | address (`u32` + UTF-8) (v5) |
-//! | 10 | `RemoveShard` | `u64` shard id (v5) |
-//! | 11 | `ClusterInfo` | — (v5) |
-//! | 12 | `TransformView` + precision | name, `u32` view index, `u8` precision, one matrix (v6) |
-//! | 16 | `Tagged` | `u64` request id, then a nested untagged request (v2) |
-//! | 17 | `Tagged` + deadline | `u64` request id, `u32` deadline ms, then a nested untagged request (v4) |
+//! | 4 | `Outputs` | name, `u32` input count, matrices |
+//! | 5 | `TransformView` | name, `u32` view index, `u8` [`Precision`] (0 = f64, 1 = f32), one matrix |
+//! | 6 | `Rescan` | — |
+//! | 7 | `Stats` | — |
+//! | 8 | `Refit` | — |
+//! | 9 | `AddShard` | address (`u32` + UTF-8) |
+//! | 10 | `RemoveShard` | `u64` shard id |
+//! | 11 | `ClusterInfo` | — |
 //!
 //! Responses:
 //!
@@ -31,77 +48,22 @@
 //! |---|---|---|
 //! | 0 | `Embedding` | one matrix |
 //! | 1 | `Error` | message (`u32` + UTF-8) |
-//! | 2 | `Models` | `u32` count, then per model: name, method, `u64` dim, `u32` views, `u8` kind, `u64` version (v3) |
+//! | 2 | `Models` | `u32` count, then per model: name, method, `u64` dim, `u32` views, `u8` kind, `u64` version |
 //! | 3 | `Pong` | — |
-//! | 4 | `Outputs` | `u32` count, then per candidate: label, `u8` kind, one matrix (v2) |
-//! | 5 | `Rescanned` | `u32` added, `u32` removed, `u32` reloaded, `u32` corrupt skipped (v4) |
-//! | 6 | `Stats` | `u32` count, then per counter: name (`u32` + UTF-8), `u64` value (v3) |
-//! | 7 | `Overloaded` | reason (`u32` + UTF-8) (v4) |
-//! | 8 | `DeadlineExceeded` | reason (`u32` + UTF-8) (v4) |
-//! | 9 | `Cluster` | `u32` count, then per shard: `u64` id, label, `u8` flags (bit 0 alive, bit 1 draining), `u64` in-flight, `u64` routed (v5) |
-//! | 16 | `Tagged` | `u64` request id, then a nested untagged response (v2) |
+//! | 4 | `Outputs` | `u32` count, then per candidate: label, `u8` kind, one matrix |
+//! | 5 | `Rescanned` | `u32` added, `u32` removed, `u32` reloaded, `u32` corrupt skipped |
+//! | 6 | `Stats` | `u32` count, then per counter: name (`u32` + UTF-8), `u64` value |
+//! | 7 | `Overloaded` | reason (`u32` + UTF-8) |
+//! | 8 | `DeadlineExceeded` | reason (`u32` + UTF-8) |
+//! | 9 | `Cluster` | `u32` count, then per shard: `u64` id, label, `u8` flags (bit 0 alive, bit 1 draining), `u64` in-flight, `u64` routed |
+//! | 16 | `Tagged` | `u64` request id, then the inner response |
 //!
-//! ## Protocol v2: request ids and pipelining
-//!
-//! Opcodes 0–3 are **protocol v1** and keep working unchanged — a v1 client talking
-//! to a v2 server sees exactly the v1 behaviour (one untagged reply per untagged
-//! request, in request order). Protocol v2 adds the `Tagged` envelope: a client may
-//! send many tagged requests without waiting, and the server replies with the *same
-//! id* wrapped around the reply — **possibly out of request order** (cheap inline
-//! ops like `Ping` overtake in-flight transforms, and transforms for different
-//! models complete independently). Clients match replies to requests by id. The
-//! nested message may be any untagged request; nesting a `Tagged` inside a `Tagged`
-//! is a protocol violation.
-//!
-//! ## Protocol v3: live refresh
-//!
-//! v3 adds the observability and model-refresh surface of the streaming-fit
-//! subsystem: `Stats` returns the server's counters as name/value pairs (batch
-//! engine counters plus, when a trainer is attached, `trainer/*` counters), and
-//! `Refit` asks the serving tier to refresh its refreshable models from accumulated
-//! traffic — the trigger is asynchronous, so the reply carries the counters as of
-//! the trigger; poll `Stats` to watch the refit land. Each `Models` catalog entry
-//! now ends with the model's lineage version (`0` for files that predate lineage).
-//!
-//! ## Protocol v4: overload protection and deadlines
-//!
-//! v4 makes rejection **in-band and typed**, never silent. A request shed by
-//! admission control (a full queue, a per-model cap, a per-connection in-flight
-//! cap) is answered with `Overloaded` rather than a generic `Error`, so callers
-//! can distinguish *retry elsewhere* from *the request itself is bad*. A request
-//! whose deadline passed before it ran is answered with `DeadlineExceeded` — the
-//! server refuses to compute dead answers. Deadlines travel in the tagged
-//! envelope: opcode 17 is a `Tagged` whose id is followed by a `u32` budget in
-//! milliseconds, relative to receipt (absolute clocks don't survive the wire).
-//! Opcode 16 is unchanged, so v2/v3 clients keep working byte-for-byte.
-//! `Rescanned` replies grow a fourth counter: files skipped because their header
-//! failed to parse — previously silent degradation.
-//!
-//! ## Protocol v5: the live control plane
-//!
-//! v5 adds runtime shard membership. `AddShard` asks a router-backed server to
-//! validate (connect + ping) and admit a new remote shard; `RemoveShard` drains
-//! a shard — it stops receiving new placements immediately, in-flight work
-//! completes, and only then is it dropped from the table; `ClusterInfo` reads
-//! the membership table. All three reply with `Cluster`: the post-op shard
-//! list, each entry carrying the shard's stable id (ids are never reused), its
-//! label/address, alive and draining flags, its current in-flight count and
-//! how many requests have been routed to it. Sent to a server without a shard
-//! table (a plain engine-backed `tcca_serve serve`), the ops are answered with
-//! an in-band `Error` — the connection survives.
-//!
-//! ## Protocol v6: per-request transform precision
-//!
-//! v6 lets a client ask for the reduced-precision serving fast path on a
-//! per-request basis. `TransformView` grows a [`Precision`] field: requests at
-//! the default [`Precision::F64`] still encode as opcode 5 — byte-for-byte the
-//! v2 layout, so v2–v5 peers interoperate unchanged — while [`Precision::F32`]
-//! encodes as the new opcode 12, which inserts one `u8` precision byte between
-//! the view index and the matrix. Matrices always travel as `f64` bit patterns
-//! regardless of precision: the field selects the *compute* path (the engine's
-//! cached `f32` shadow of the factor matrices), not the wire encoding. Servers
-//! without an `f32` shadow for the model silently serve the `f64` path; the
-//! reply shape is identical either way.
+//! Rejection is **in-band and typed**: a request shed by admission control (a
+//! full queue, a per-model cap, a per-connection in-flight cap) is answered
+//! with `Overloaded`, so callers can tell *retry elsewhere* from *the request
+//! itself is bad* (`Error`). The control-plane ops (`AddShard`, `RemoveShard`,
+//! `ClusterInfo`) sent to a server without a shard table are answered with an
+//! in-band `Error`.
 
 use crate::{Result, ServeError};
 use linalg::Matrix;
@@ -111,26 +73,23 @@ use std::io::{Read, Write};
 /// Maximum accepted frame payload (1 GiB).
 pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
-/// Opcode of the v2 `Tagged` envelope (shared by requests and responses).
+/// Opcode of the `Tagged` envelope (shared by requests and responses).
 pub const TAGGED_OPCODE: u8 = 16;
 
-/// Opcode of the v4 deadline-carrying `Tagged` request envelope.
-pub const TAGGED_DEADLINE_OPCODE: u8 = 17;
-
-/// Arithmetic precision a `TransformView` request asks the engine to compute in
-/// (v6). Inputs and replies are `f64` on the wire either way; `F32` routes the
+/// Arithmetic precision a `TransformView` request asks the engine to compute in.
+/// Inputs and replies are `f64` on the wire either way; `F32` routes the
 /// projection through the engine's cached single-precision shadow of the factor
 /// matrices — roughly half the memory traffic, bounded relative error (see
 /// `linalg::ColsView::shifted_t_matmul_f32`) — when the model exposes one, and
 /// falls back to the bit-exact `f64` path when it does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// Full double precision — the default, bit-identical to every prior
-    /// protocol version.
+    /// Full double precision — the default, bit-exact against the in-process
+    /// transform.
     #[default]
-    F64,
+    F64 = 0,
     /// Opt-in single-precision compute path.
-    F32,
+    F32 = 1,
 }
 
 /// A request from client to server.
@@ -148,7 +107,7 @@ pub enum Request {
     ListModels,
     /// Liveness probe.
     Ping,
-    /// All named candidate representations of the given instances (v2). This is the
+    /// All named candidate representations of the given instances. This is the
     /// serving path for multi-candidate methods (BSF/BSK/AVG, pairwise CCA/KCCA)
     /// whose `transform` rejects by design.
     Outputs {
@@ -157,8 +116,8 @@ pub enum Request {
         /// One matrix per view or kernel block, as for `Transform`.
         inputs: Vec<Matrix>,
     },
-    /// Project instances of a *single* view through the model's per-view projection
-    /// (v2). Batched without stitching the other `m − 1` views.
+    /// Project instances of a *single* view through the model's per-view projection.
+    /// Batched without stitching the other `m − 1` views.
     TransformView {
         /// Store name of the model.
         model: String,
@@ -166,46 +125,45 @@ pub enum Request {
         view: u32,
         /// The view matrix (features × instances, or a kernel block).
         input: Matrix,
-        /// Requested compute precision (v6). [`Precision::F64`] encodes as the
-        /// v2 opcode 5 layout; [`Precision::F32`] as opcode 12.
+        /// Requested compute precision.
         precision: Precision,
     },
-    /// Re-scan the server's model directory for new/changed/removed `.mvm` files
-    /// (v2). A router forwards this to every live shard.
+    /// Re-scan the server's model directory for new/changed/removed `.mvm` files.
+    /// A router forwards this to every live shard.
     Rescan,
-    /// Ask for the server's counters (v3): batch-engine statistics plus trainer
+    /// Ask for the server's counters: batch-engine statistics plus trainer
     /// counters when a live-refresh trainer is attached. A router sums counters
     /// across its live shards.
     Stats,
-    /// Trigger a model refresh from accumulated live-traffic statistics (v3). The
+    /// Trigger a model refresh from accumulated live-traffic statistics. The
     /// trigger is asynchronous: the reply is the counter snapshot at trigger time.
     Refit,
-    /// Admit a new remote shard at the given address (v5). The server validates
+    /// Admit a new remote shard at the given address. The server validates
     /// the address with a connect + ping before it joins the rendezvous table;
     /// the reply is the updated cluster snapshot.
     AddShard {
         /// `host:port` of a running serving endpoint.
         addr: String,
     },
-    /// Drain and remove the shard with this id (v5). The shard stops receiving
+    /// Drain and remove the shard with this id. The shard stops receiving
     /// new placements immediately; the reply is sent once in-flight work has
     /// completed (or the drain timeout expired) and the shard left the table.
     RemoveShard {
         /// The shard's stable id, as reported by `ClusterInfo`.
         shard: u64,
     },
-    /// Read the cluster membership table (v5).
+    /// Read the cluster membership table.
     ClusterInfo,
-    /// The v2 envelope: an id the server echoes around its reply, enabling
-    /// pipelining and out-of-order completion.
+    /// The envelope every request travels in: an id the server echoes around
+    /// its reply, enabling pipelining and out-of-order completion.
     Tagged {
         /// Client-chosen request id.
         id: u64,
-        /// Remaining time budget in milliseconds, relative to server receipt
-        /// (v4). `None` encodes as the v2 opcode 16 envelope; `Some` as opcode
-        /// 17. Work still queued when the budget runs out is answered with
-        /// [`Response::DeadlineExceeded`] instead of being computed.
-        deadline_ms: Option<u32>,
+        /// Remaining time budget in milliseconds, relative to server receipt;
+        /// `0` means no deadline. Work still queued when the budget runs out is
+        /// answered with [`Response::DeadlineExceeded`] instead of being
+        /// computed.
+        deadline_ms: u32,
         /// The wrapped (untagged) request.
         inner: Box<Request>,
     },
@@ -224,7 +182,7 @@ pub struct ModelInfo {
     pub num_views: usize,
     /// Input kind expected by `transform`.
     pub input_kind: InputKind,
-    /// Lineage version of the backing file (v3): `0` for freshly fitted or
+    /// Lineage version of the backing file: `0` for freshly fitted or
     /// pre-lineage models, incremented by every live refresh.
     pub version: u64,
 }
@@ -259,7 +217,7 @@ pub struct RescanReport {
     pub removed: usize,
     /// Entries whose file changed on disk (header re-read, cached payload dropped).
     pub reloaded: usize,
-    /// Files skipped because their header failed to parse (v4). Non-zero means
+    /// Files skipped because their header failed to parse. Non-zero means
     /// the directory holds models the store silently cannot serve.
     pub corrupt_skipped: usize,
 }
@@ -274,7 +232,7 @@ impl RescanReport {
     }
 }
 
-/// One shard's entry in a [`Response::Cluster`] membership snapshot (v5).
+/// One shard's entry in a [`Response::Cluster`] membership snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardInfo {
     /// Stable shard id. Ids are assigned once and never reused, so a client
@@ -306,21 +264,21 @@ pub enum Response {
     Models(Vec<ModelInfo>),
     /// Reply to `Ping`.
     Pong,
-    /// The named candidates produced by an `Outputs` request (v2).
+    /// The named candidates produced by an `Outputs` request.
     Outputs(Vec<NamedOutput>),
-    /// Reply to `Rescan` (v2).
+    /// Reply to `Rescan`.
     Rescanned(RescanReport),
-    /// Reply to `Stats` and `Refit` (v3): counter name/value pairs.
+    /// Reply to `Stats` and `Refit`: counter name/value pairs.
     Stats(Vec<(String, u64)>),
-    /// Admission control shed the request (v4); human-readable reason. The
+    /// Admission control shed the request; human-readable reason. The
     /// request was rejected before any computation — retrying elsewhere is safe.
     Overloaded(String),
-    /// The request's deadline passed before the work ran (v4); reason.
+    /// The request's deadline passed before the work ran; reason.
     DeadlineExceeded(String),
-    /// Cluster membership snapshot (v5): the reply to `ClusterInfo` and to a
+    /// Cluster membership snapshot: the reply to `ClusterInfo` and to a
     /// completed `AddShard` / `RemoveShard`.
     Cluster(Vec<ShardInfo>),
-    /// The v2 envelope echoing a `Tagged` request's id.
+    /// The envelope echoing a `Tagged` request's id.
     Tagged {
         /// The id of the request this reply answers.
         id: u64,
@@ -454,21 +412,13 @@ impl Request {
                 view,
                 input,
                 precision,
-            } => match precision {
-                Precision::F64 => {
-                    out.push(5);
-                    push_str(out, model);
-                    push_u32(out, *view);
-                    push_matrix(out, input);
-                }
-                Precision::F32 => {
-                    out.push(12);
-                    push_str(out, model);
-                    push_u32(out, *view);
-                    out.push(1);
-                    push_matrix(out, input);
-                }
-            },
+            } => {
+                out.push(5);
+                push_str(out, model);
+                push_u32(out, *view);
+                out.push(*precision as u8);
+                push_matrix(out, input);
+            }
             Request::Rescan => out.push(6),
             Request::Stats => out.push(7),
             Request::Refit => out.push(8),
@@ -486,38 +436,26 @@ impl Request {
                 deadline_ms,
                 inner,
             } => {
-                match deadline_ms {
-                    None => {
-                        out.push(TAGGED_OPCODE);
-                        push_u64(out, *id);
-                    }
-                    Some(ms) => {
-                        out.push(TAGGED_DEADLINE_OPCODE);
-                        push_u64(out, *id);
-                        push_u32(out, *ms);
-                    }
-                }
+                out.push(TAGGED_OPCODE);
+                push_u64(out, *id);
+                push_u32(out, *deadline_ms);
                 inner.encode_into(out);
             }
         }
     }
 
-    /// Wrap this request in a v2 [`Request::Tagged`] envelope.
+    /// Wrap this request in a [`Request::Tagged`] envelope with no deadline.
     pub fn tagged(self, id: u64) -> Request {
-        Request::Tagged {
-            id,
-            deadline_ms: None,
-            inner: Box::new(self),
-        }
+        self.tagged_deadline(id, 0)
     }
 
-    /// Wrap this request in a v4 deadline-carrying [`Request::Tagged`] envelope:
-    /// the server drops the work with [`Response::DeadlineExceeded`] if it is
-    /// still queued `deadline_ms` milliseconds after receipt.
+    /// Wrap this request in a [`Request::Tagged`] envelope whose work the
+    /// server drops with [`Response::DeadlineExceeded`] if it is still queued
+    /// `deadline_ms` milliseconds after receipt (`0` = no deadline).
     pub fn tagged_deadline(self, id: u64, deadline_ms: u32) -> Request {
         Request::Tagged {
             id,
-            deadline_ms: Some(deadline_ms),
+            deadline_ms,
             inner: Box::new(self),
         }
     }
@@ -556,27 +494,6 @@ impl Request {
             5 => {
                 let model = c.string("model name")?;
                 let view = c.u32("view index")?;
-                let input = c.matrix("view matrix")?;
-                Request::TransformView {
-                    model,
-                    view,
-                    input,
-                    precision: Precision::F64,
-                }
-            }
-            6 => Request::Rescan,
-            7 => Request::Stats,
-            8 => Request::Refit,
-            9 => Request::AddShard {
-                addr: c.string("shard address")?,
-            },
-            10 => Request::RemoveShard {
-                shard: c.u64("shard id")?,
-            },
-            11 => Request::ClusterInfo,
-            12 => {
-                let model = c.string("model name")?;
-                let view = c.u32("view index")?;
                 let precision = match c.u8("transform precision")? {
                     0 => Precision::F64,
                     1 => Precision::F32,
@@ -594,13 +511,19 @@ impl Request {
                     precision,
                 }
             }
-            op @ (TAGGED_OPCODE | TAGGED_DEADLINE_OPCODE) if allow_tag => {
+            6 => Request::Rescan,
+            7 => Request::Stats,
+            8 => Request::Refit,
+            9 => Request::AddShard {
+                addr: c.string("shard address")?,
+            },
+            10 => Request::RemoveShard {
+                shard: c.u64("shard id")?,
+            },
+            11 => Request::ClusterInfo,
+            TAGGED_OPCODE if allow_tag => {
                 let id = c.u64("request id")?;
-                let deadline_ms = if op == TAGGED_DEADLINE_OPCODE {
-                    Some(c.u32("request deadline")?)
-                } else {
-                    None
-                };
+                let deadline_ms = c.u32("request deadline")?;
                 let inner = Box::new(Self::decode_cursor(c, false)?);
                 Request::Tagged {
                     id,
@@ -608,7 +531,7 @@ impl Request {
                     inner,
                 }
             }
-            TAGGED_OPCODE | TAGGED_DEADLINE_OPCODE => {
+            TAGGED_OPCODE => {
                 return Err(ServeError::Protocol(
                     "tagged request nested inside a tagged request".into(),
                 ))
@@ -707,7 +630,7 @@ impl Response {
         }
     }
 
-    /// Wrap this response in a v2 [`Response::Tagged`] envelope.
+    /// Wrap this response in a [`Response::Tagged`] envelope.
     pub fn tagged(self, id: u64) -> Response {
         Response::Tagged {
             id,
@@ -948,7 +871,7 @@ mod tests {
                 inputs: vec![sample_matrix()],
             }
             .tagged_deadline(8, 250),
-            Request::Ping.tagged_deadline(9, 0),
+            Request::Ping.tagged_deadline(9, 1),
         ] {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
@@ -965,52 +888,37 @@ mod tests {
     }
 
     #[test]
-    fn deadline_envelope_is_opcode_17_and_plain_tag_is_unchanged() {
-        // v2 compatibility: a deadline-free tag must still encode as opcode 16
-        // with the exact v2 layout.
-        let plain = Request::Ping.tagged(3).encode();
-        assert_eq!(plain[0], TAGGED_OPCODE);
-        assert_eq!(plain.len(), 1 + 8 + 1);
-        let with_deadline = Request::Ping.tagged_deadline(3, 1500).encode();
-        assert_eq!(with_deadline[0], TAGGED_DEADLINE_OPCODE);
-        assert_eq!(with_deadline.len(), 1 + 8 + 4 + 1);
-        assert_eq!(&with_deadline[9..13], &1500u32.to_le_bytes());
+    fn envelope_header_is_id_then_budget_then_inner_request() {
+        // Load generators patch ids into pre-encoded payloads at these offsets.
+        let payload = Request::Ping
+            .tagged_deadline(0x0102_0304_0506_0708, 1500)
+            .encode();
+        assert_eq!(payload[0], TAGGED_OPCODE);
+        assert_eq!(&payload[1..9], &0x0102_0304_0506_0708u64.to_le_bytes());
+        assert_eq!(&payload[9..13], &1500u32.to_le_bytes());
+        assert_eq!(&payload[13..], &Request::Ping.encode()[..]);
+        assert_eq!(
+            &Request::Ping.tagged(7).encode()[9..13],
+            &0u32.to_le_bytes()
+        );
     }
 
     #[test]
-    fn f64_transform_view_keeps_the_v2_opcode_5_layout() {
-        // v6 compatibility: the default precision must encode byte-for-byte as
-        // the v2 request, so pre-v6 servers keep understanding default clients.
-        let input = sample_matrix();
-        let v6 = Request::TransformView {
-            model: "m".into(),
-            view: 1,
-            input: input.clone(),
-            precision: Precision::F64,
+    fn retired_opcodes_decode_as_unknown() {
+        // 12 was the f32 TransformView and 17 the deadline envelope.
+        for op in [12u8, 17] {
+            let err = Request::decode(&[op]).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown request opcode {op}")),
+                "{err}"
+            );
         }
-        .encode();
-        assert_eq!(v6[0], 5);
-        let mut v2 = vec![5u8];
-        push_str(&mut v2, "m");
-        push_u32(&mut v2, 1);
-        push_matrix(&mut v2, &input);
-        assert_eq!(v6, v2);
-
-        let f32_bytes = Request::TransformView {
-            model: "m".into(),
-            view: 1,
-            input,
-            precision: Precision::F32,
-        }
-        .encode();
-        assert_eq!(f32_bytes[0], 12);
-        // name (4 + 1) then view index (4), then the precision byte.
-        assert_eq!(f32_bytes[1 + 5 + 4], 1);
     }
 
     #[test]
     fn unknown_precision_byte_is_a_protocol_error() {
-        let mut payload = vec![12u8];
+        let mut payload = vec![5u8];
         push_str(&mut payload, "m");
         push_u32(&mut payload, 0);
         payload.push(9); // not a precision

@@ -1,10 +1,11 @@
 //! Fuzz-style wire tests: the server must answer malformed or hostile frames with
 //! an in-band protocol error — never hang, never panic, never take down service
-//! for other connections.
+//! for other connections. Malformed payloads ride inside a well-formed tagged
+//! envelope, so each case exercises the inner decoder, not just the header.
 
 use linalg::Matrix;
 use mvcore::{EstimatorRegistry, FitSpec};
-use serve::wire::{read_frame, Response, MAX_FRAME_LEN};
+use serve::wire::{read_frame, write_frame, Request, Response, MAX_FRAME_LEN, TAGGED_OPCODE};
 use serve::{BatchConfig, Client, ModelStore, Server};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -62,6 +63,21 @@ fn read_reply(stream: &mut TcpStream) -> Response {
     Response::decode(&payload).expect("decoding the server's reply")
 }
 
+/// `inner` behind the tagged-envelope header (id 7, no deadline).
+fn enveloped(inner: &[u8]) -> Vec<u8> {
+    let mut payload = vec![TAGGED_OPCODE];
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(inner);
+    payload
+}
+
+/// A tagged ping on `stream` must get its tagged pong.
+fn expect_ping_survives(stream: &mut TcpStream) {
+    write_frame(stream, &Request::Ping.tagged(99).encode()).unwrap();
+    assert_eq!(read_reply(stream), Response::Pong.tagged(99));
+}
+
 fn expect_protocol_error(resp: Response, needle: &str) {
     match resp {
         Response::Error(msg) => {
@@ -94,9 +110,10 @@ fn truncated_length_prefix_gets_an_error_not_a_hang() {
 fn truncated_payload_gets_an_error_not_a_hang() {
     let (addr, stop) = start_server();
     let mut stream = TcpStream::connect(addr).unwrap();
-    // Frame declares 64 bytes but only 3 arrive before the peer gives up.
+    // Frame declares 64 bytes but only the envelope header and 3 inner bytes
+    // arrive before the peer gives up.
     stream.write_all(&64u32.to_le_bytes()).unwrap();
-    stream.write_all(&[1, 2, 3]).unwrap();
+    stream.write_all(&enveloped(&[1, 2, 3])).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
     expect_protocol_error(read_reply(&mut stream), "protocol violation");
     stop();
@@ -120,15 +137,22 @@ fn oversized_declared_length_is_refused_without_allocation() {
 fn junk_opcode_is_answered_in_band_and_the_connection_survives() {
     let (addr, stop) = start_server();
     let mut stream = TcpStream::connect(addr).unwrap();
-    // A perfectly framed request with a nonsense opcode.
-    stream.write_all(&1u32.to_le_bytes()).unwrap();
-    stream.write_all(&[0xEE]).unwrap();
+    // A perfectly framed envelope around a nonsense opcode.
+    write_frame(&mut stream, &enveloped(&[0xEE])).unwrap();
     expect_protocol_error(read_reply(&mut stream), "unknown request opcode");
-    // The frame boundary held, so the same connection keeps working: a valid ping
-    // (opcode 3) still gets its pong.
-    stream.write_all(&1u32.to_le_bytes()).unwrap();
-    stream.write_all(&[3]).unwrap();
-    assert_eq!(read_reply(&mut stream), Response::Pong);
+    // The frame boundary held, so the same connection keeps working.
+    expect_ping_survives(&mut stream);
+    stop();
+}
+
+#[test]
+fn untagged_request_is_answered_in_band_and_the_connection_survives() {
+    let (addr, stop) = start_server();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // A well-formed ping outside the envelope: one untagged error, no pong.
+    write_frame(&mut stream, &Request::Ping.encode()).unwrap();
+    expect_protocol_error(read_reply(&mut stream), "untagged request");
+    expect_ping_survives(&mut stream);
     stop();
 }
 
@@ -140,10 +164,7 @@ fn garbage_payload_inside_a_valid_opcode_is_answered_in_band() {
     let mut payload = vec![1u8];
     payload.extend_from_slice(&1000u32.to_le_bytes());
     payload.extend_from_slice(b"short");
-    stream
-        .write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(&payload).unwrap();
+    write_frame(&mut stream, &enveloped(&payload)).unwrap();
     expect_protocol_error(read_reply(&mut stream), "truncated");
     stop();
 }
@@ -156,15 +177,18 @@ fn half_closed_connection_still_receives_its_reply() {
     // Send one well-formed transform, then shut down the write half and wait: the
     // async reply must still arrive (the server may not reap the connection while
     // a reply is owed).
-    let req = serve::wire::Request::Transform {
+    let req = Request::Transform {
         model: "pca".into(),
         inputs: views.clone(),
     };
-    serve::wire::write_frame(&mut stream, &req.encode()).unwrap();
+    write_frame(&mut stream, &req.tagged(5).encode()).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
     match read_reply(&mut stream) {
-        Response::Embedding(z) => assert_eq!(z.rows(), views[0].cols()),
-        other => panic!("expected the embedding, got {other:?}"),
+        Response::Tagged { id: 5, inner } => match *inner {
+            Response::Embedding(z) => assert_eq!(z.rows(), views[0].cols()),
+            other => panic!("expected the embedding, got {other:?}"),
+        },
+        other => panic!("expected the tagged embedding, got {other:?}"),
     }
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
@@ -172,40 +196,13 @@ fn half_closed_connection_still_receives_its_reply() {
     stop();
 }
 
-#[test]
-fn pipelined_v1_requests_get_replies_in_request_order() {
-    let (addr, stop) = start_server();
-    let views = fixture_views();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    // Two *untagged* frames back to back: a transform (async, slow) then a ping
-    // (answered inline). A v1 client matches replies by order, so the embedding
-    // must come back first even though the pong was ready earlier.
-    let transform = serve::wire::Request::Transform {
-        model: "pca".into(),
-        inputs: views.clone(),
-    };
-    serve::wire::write_frame(&mut stream, &transform.encode()).unwrap();
-    serve::wire::write_frame(&mut stream, &serve::wire::Request::Ping.encode()).unwrap();
-    match read_reply(&mut stream) {
-        Response::Embedding(z) => assert_eq!(z.rows(), views[0].cols()),
-        other => panic!("v1 ordering violated: first reply was {other:?}"),
-    }
-    assert_eq!(read_reply(&mut stream), Response::Pong);
-    stop();
-}
-
-/// Send one raw payload as a frame, expect an in-band error mentioning
-/// `needle`, then prove the connection survived by pinging on it.
+/// Send one raw inner payload in the envelope, expect an in-band error
+/// mentioning `needle`, then prove the connection survived by pinging on it.
 fn expect_error_then_ping_survives(addr: SocketAddr, payload: &[u8], needle: &str) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(payload).unwrap();
+    write_frame(&mut stream, &enveloped(payload)).unwrap();
     expect_protocol_error(read_reply(&mut stream), needle);
-    stream.write_all(&1u32.to_le_bytes()).unwrap();
-    stream.write_all(&[3]).unwrap();
-    assert_eq!(read_reply(&mut stream), Response::Pong);
+    expect_ping_survives(&mut stream);
 }
 
 #[test]
@@ -293,10 +290,7 @@ fn hostile_connections_do_not_poison_service_for_others() {
         match flavour % 4 {
             0 => stream.write_all(&[0xFF]).unwrap(), // partial prefix, left open
             1 => stream.write_all(&u32::MAX.to_le_bytes()).unwrap(), // absurd length
-            2 => {
-                stream.write_all(&1u32.to_le_bytes()).unwrap();
-                stream.write_all(&[0x7F]).unwrap(); // junk opcode
-            }
+            2 => write_frame(&mut stream, &enveloped(&[0x7F])).unwrap(), // junk opcode
             _ => {
                 // Claims 1 KiB, delivers half, stalls.
                 stream.write_all(&1024u32.to_le_bytes()).unwrap();

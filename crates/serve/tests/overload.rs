@@ -23,23 +23,26 @@ fn fixture_views() -> Vec<Matrix> {
         .collect()
 }
 
-fn fixture_store(rank: usize) -> Arc<ModelStore> {
+/// A store serving one rank-2 PCA model under each of `names`.
+fn fixture_store(names: &[String]) -> Arc<ModelStore> {
     let views = fixture_views();
     let registry = EstimatorRegistry::with_builtin();
-    let model = registry
-        .fit("PCA", &views, &FitSpec::with_rank(rank).seed(7))
-        .unwrap();
     let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
-    store.insert("pca", model);
+    for name in names {
+        let model = registry
+            .fit("PCA", &views, &FitSpec::with_rank(2).seed(7))
+            .unwrap();
+        store.insert(name.as_str(), model);
+    }
     store
 }
 
 fn start_tuned(
     batch: BatchConfig,
     tuning: ServerTuning,
-    rank: usize,
+    store: Arc<ModelStore>,
 ) -> (SocketAddr, impl FnOnce()) {
-    let engine = Arc::new(serve::BatchEngine::start(fixture_store(rank), batch));
+    let engine = Arc::new(serve::BatchEngine::start(store, batch));
     let server = Server::bind_service_tuned("127.0.0.1:0", engine, tuning).unwrap();
     let addr = server.local_addr().unwrap();
     let shutdown = server.shutdown_handle();
@@ -58,82 +61,66 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
         .unwrap_or_else(|| panic!("counter {name} missing from {stats:?}"))
 }
 
-/// A connection whose pending replies pile up must trip the write-buffer
+/// A connection whose replies pile up unread must trip the write-buffer
 /// high-water mark (visible in `server/throttled`) instead of growing buffers
-/// without bound — and still receive every reply, in order, once the jam
-/// clears. Throttling is backpressure, not loss.
+/// without bound — and still receive every reply exactly once when it reads
+/// again. Throttling is backpressure, not loss.
 ///
-/// The jam is built deterministically through the v1 ordering gate: one
-/// untagged transform parks in a wide batching window at the head of the
-/// line, so every fast sync reply behind it is *held* by the gate (held bytes
-/// count against the mark) — no dependence on kernel socket buffer sizes.
+/// The jam is made of unread replies: 4 KiB model names make every catalog
+/// reply ~16 KiB while its request stays 18 bytes, and the client keeps
+/// pipelining until the mark trips — which takes more reply bytes than the
+/// loopback socket buffers absorb, whatever their size on the host.
 #[test]
 fn slow_reader_is_throttled_not_buffered_unboundedly() {
-    let followers: usize = 200;
+    let names: Vec<String> = (0..4).map(|i| format!("{i}").repeat(4096)).collect();
     let (addr, stop) = start_tuned(
-        BatchConfig {
-            max_batch: 64,
-            // Parks the head-of-line transform so held replies accumulate.
-            max_wait: Duration::from_millis(400),
-            ..BatchConfig::default()
-        },
+        BatchConfig::default(),
         ServerTuning {
-            // Far below the held-reply volume, so the mark must trip.
-            wbuf_high_water: 2 * 1024,
+            wbuf_high_water: 64 * 1024,
             ..ServerTuning::default()
         },
-        2,
+        fixture_store(&names),
     );
-    let views = fixture_views();
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
-    let head = Request::Transform {
-        model: "pca".into(),
-        inputs: views.clone(),
-    };
-    write_frame(&mut stream, &head.encode()).unwrap();
-    for _ in 0..followers {
-        write_frame(&mut stream, &Request::ListModels.encode()).unwrap();
-    }
 
-    // A second connection watches the throttle counter. The counter is
-    // cumulative (it counts excursions), so there is no race with the jam
-    // clearing before we look.
+    // Pipeline rounds of catalog requests, never reading, until a second
+    // connection sees the throttle counter move. Its `Stats` queues behind the
+    // catalogs already read, so each round waits for the previous one to be
+    // answered into the jam. The counter is cumulative (it counts excursions),
+    // so there is no race with the jam clearing before we look.
     let mut observer = Client::connect(addr).unwrap();
-    let tripped_by = Instant::now() + Duration::from_secs(30);
-    loop {
-        let throttled = counter(&observer.stats().unwrap(), "server/throttled");
-        if throttled >= 1 {
-            break;
-        }
+    let mut sent = 0u64;
+    while counter(&observer.stats().unwrap(), "server/throttled") == 0 {
         assert!(
-            Instant::now() < tripped_by,
-            "high-water mark never tripped while {followers} held replies piled up"
+            sent < 4096,
+            "high-water mark never tripped with {sent} replies (~{} MiB) unread",
+            sent * 16 / 1024
         );
-        std::thread::sleep(Duration::from_millis(5));
+        for _ in 0..64 {
+            write_frame(&mut stream, &Request::ListModels.tagged(sent).encode()).unwrap();
+            sent += 1;
+        }
     }
 
-    // Once the head-of-line batch executes, everything flushes — every
-    // request answered, v1 ordering intact.
+    // Reading resumes: every request is answered, exactly once.
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    let payload = read_frame(&mut stream)
-        .unwrap()
-        .expect("reply stream ended early");
-    assert!(
-        matches!(Response::decode(&payload).unwrap(), Response::Embedding(_)),
-        "the head-of-line transform must be answered first"
-    );
-    for i in 0..followers {
+    let mut seen = BTreeSet::new();
+    for i in 0..sent {
         let payload = read_frame(&mut stream)
             .unwrap()
-            .unwrap_or_else(|| panic!("reply stream ended after {i} of {followers} held replies"));
-        assert!(
-            matches!(Response::decode(&payload).unwrap(), Response::Models(_)),
-            "held replies must flush in order"
-        );
+            .unwrap_or_else(|| panic!("reply stream ended after {i} of {sent} replies"));
+        match Response::decode(&payload).unwrap() {
+            Response::Tagged { id, inner } => {
+                assert!(matches!(*inner, Response::Models(ref m) if m.len() == 4));
+                assert!(seen.insert(id), "duplicate reply for request {id}");
+            }
+            other => panic!("expected a tagged reply, got {other:?}"),
+        }
     }
+    assert_eq!(seen, (0..sent).collect(), "every request must be answered");
     stop();
 }
 
@@ -154,7 +141,7 @@ fn pipelined_flood_beyond_inflight_limit_is_shed_in_band() {
             max_inflight_per_conn: 4,
             ..ServerTuning::default()
         },
-        2,
+        fixture_store(&["pca".into()]),
     );
     let views = fixture_views();
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -207,9 +194,9 @@ fn pipelined_flood_beyond_inflight_limit_is_shed_in_band() {
     stop();
 }
 
-/// A wire deadline (opcode 17) shorter than the batching window expires while
-/// the request is parked, and the client gets an in-band `DeadlineExceeded` —
-/// the work is discarded, not computed late.
+/// A wire deadline budget shorter than the batching window expires while the
+/// request is parked, and the client gets an in-band `DeadlineExceeded` — the
+/// work is discarded, not computed late.
 #[test]
 fn expired_wire_deadline_is_answered_in_band() {
     let (addr, stop) = start_tuned(
@@ -219,11 +206,15 @@ fn expired_wire_deadline_is_answered_in_band() {
             ..BatchConfig::default()
         },
         ServerTuning::default(),
-        2,
+        fixture_store(&["pca".into()]),
     );
     let views = fixture_views();
     let mut client = Client::connect(addr).unwrap();
-    match client.transform_deadline("pca", &views, 1) {
+    let request = Request::Transform {
+        model: "pca".into(),
+        inputs: views.clone(),
+    };
+    match client.call(request, 1) {
         Err(ServeError::DeadlineExceeded(_)) => {}
         other => panic!("expected an in-band deadline verdict, got {other:?}"),
     }
