@@ -3,7 +3,7 @@
 //! Figures 7–9 in Criterion form (the `experiments figN` binary prints the same numbers
 //! as plain tables).
 
-use bench::methods::LinearMethod;
+use bench::methods::{experiment_spec, run_registered};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::{secstr_dataset, SecStrConfig};
 
@@ -15,17 +15,12 @@ fn bench_linear_methods(c: &mut Criterion) {
         seed: 11,
         difficulty: 0.8,
     });
-    for method in [
-        LinearMethod::CcaBst,
-        LinearMethod::CcaLs,
-        LinearMethod::Dse,
-        LinearMethod::Ssmvd,
-        LinearMethod::Tcca,
-    ] {
+    let spec = experiment_spec(10, 1e-2, 0, 10);
+    for name in ["CCA (BST)", "CCA-LS", "DSE", "SSMVD", "TCCA"] {
         group.bench_with_input(
-            BenchmarkId::new(method.name().replace(' ', "_"), 10),
+            BenchmarkId::new(name.replace(' ', "_"), 10),
             &data,
-            |b, data| b.iter(|| method.run(data, 10, 1e-2, 0, 10)),
+            |b, data| b.iter(|| run_registered(name, data.views(), &spec)),
         );
     }
     group.finish();
@@ -41,7 +36,7 @@ fn bench_tcca_dimension_sweep(c: &mut Criterion) {
     });
     for rank in [5usize, 10, 20] {
         group.bench_with_input(BenchmarkId::from_parameter(rank), &rank, |b, &r| {
-            b.iter(|| LinearMethod::Tcca.run(&data, r, 1e-2, 0, 10))
+            b.iter(|| run_registered("TCCA", data.views(), &experiment_spec(r, 1e-2, 0, 10)))
         });
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Kernel-path benchmarks: Gram-matrix construction, KCCA and KTCCA on the NUS-WIDE-like
 //! small-sample setting (the cost panel of the paper's Figure 10).
 
-use bench::methods::KernelMethod;
+use bench::methods::{experiment_spec, run_registered};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::{center_kernel, gram_matrix, nuswide_dataset, Kernel, NusWideConfig};
 use linalg::Matrix;
@@ -47,11 +47,12 @@ fn bench_kernel_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_methods");
     group.sample_size(10);
     let ks = kernels(80);
-    for method in [KernelMethod::KccaBst, KernelMethod::Ktcca] {
+    let spec = experiment_spec(5, 1e-1, 0, 8);
+    for name in ["KCCA (BST)", "KTCCA"] {
         group.bench_with_input(
-            BenchmarkId::new(method.name().replace(' ', "_"), 80),
+            BenchmarkId::new(name.replace(' ', "_"), 80),
             &ks,
-            |b, ks| b.iter(|| method.run(ks, 5, 1e-1, 0, 8)),
+            |b, ks| b.iter(|| run_registered(name, ks, &spec)),
         );
     }
     group.finish();

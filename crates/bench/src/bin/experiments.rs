@@ -15,10 +15,10 @@
 //! random labeled draws are averaged (the paper uses five). See EXPERIMENTS.md for the
 //! mapping and the recorded outputs.
 
-use bench::methods::{KernelMethod, LinearMethod};
+use bench::methods::{KERNEL_METHODS, LINEAR_METHODS};
 use bench::runner::{
-    kernel_experiment, linear_experiment, sweep_to_table, ExperimentConfig, ExperimentResult,
-    LabeledSpec,
+    kernel_experiment_named, linear_experiment_named, sweep_to_table, ExperimentConfig,
+    ExperimentResult, LabeledSpec,
 };
 use datasets::{
     ads_dataset, nuswide_dataset, secstr_dataset, AdsConfig, MultiViewDataset, NusWideConfig,
@@ -193,13 +193,15 @@ fn run_secstr(cli: &Cli) -> Vec<(String, ExperimentResult)> {
         tcca_iterations: 15,
         ..ExperimentConfig::default()
     };
-    let methods = LinearMethod::paper_set();
     pools
         .into_iter()
         .map(|n| {
             let data = secstr(n, 17);
             let label = format!("SecStr, {n} unlabeled instances");
-            (label, linear_experiment(&data, &methods, &config))
+            (
+                label,
+                linear_experiment_named(&data, LINEAR_METHODS, &config),
+            )
         })
         .collect()
 }
@@ -219,10 +221,9 @@ fn run_ads(cli: &Cli) -> (String, ExperimentResult) {
         tcca_iterations: 15,
         ..ExperimentConfig::default()
     };
-    let methods = LinearMethod::paper_set();
     (
         format!("Ads, {n} instances, view scale {scale:.2}"),
-        linear_experiment(&data, &methods, &config),
+        linear_experiment_named(&data, LINEAR_METHODS, &config),
     )
 }
 
@@ -231,7 +232,6 @@ fn run_nuswide(cli: &Cli) -> Vec<(String, ExperimentResult)> {
     let n = if cli.full { 2000 } else { 700 };
     let scale = if cli.full { 0.5 } else { 0.35 } * cli.scale;
     let data = nuswide(n, 41, scale);
-    let methods = LinearMethod::paper_set();
     [4usize, 6, 8]
         .into_iter()
         .map(|per_class| {
@@ -247,7 +247,7 @@ fn run_nuswide(cli: &Cli) -> Vec<(String, ExperimentResult)> {
             };
             (
                 format!("NUS-WIDE, {per_class} labeled per concept"),
-                linear_experiment(&data, &methods, &config),
+                linear_experiment_named(&data, LINEAR_METHODS, &config),
             )
         })
         .collect()
@@ -257,7 +257,6 @@ fn run_nuswide(cli: &Cli) -> Vec<(String, ExperimentResult)> {
 fn run_kernel(cli: &Cli) -> Vec<(String, ExperimentResult)> {
     let n = if cli.full { 300 } else { 150 };
     let data = nuswide(n, 43, 0.35);
-    let methods = KernelMethod::paper_set();
     [4usize, 6, 8]
         .into_iter()
         .map(|per_class| {
@@ -273,7 +272,7 @@ fn run_kernel(cli: &Cli) -> Vec<(String, ExperimentResult)> {
             };
             (
                 format!("NUS-WIDE kernels, {n} samples, {per_class} labeled per concept"),
-                kernel_experiment(&data, &methods, &config),
+                kernel_experiment_named(&data, KERNEL_METHODS, &config),
             )
         })
         .collect()
@@ -315,7 +314,7 @@ fn run_ablation_decomposition(cli: &Cli) {
 fn run_ablation_epsilon(cli: &Cli) {
     let data = secstr(800, 17);
     println!("\n=== Ablation: regularization epsilon (SecStr-like, 800 instances) ===");
-    let methods = [LinearMethod::Tcca];
+    let methods = ["TCCA"];
     for eps in [1e-4, 1e-2, 1.0] {
         let config = ExperimentConfig {
             dims: vec![10, 20],
@@ -325,7 +324,7 @@ fn run_ablation_epsilon(cli: &Cli) {
             tcca_iterations: 15,
             ..ExperimentConfig::default()
         };
-        let result = linear_experiment(&data, &methods, &config);
+        let result = linear_experiment_named(&data, &methods, &config);
         println!(
             "epsilon {:>8.0e}: accuracy {}",
             eps,
@@ -337,11 +336,7 @@ fn run_ablation_epsilon(cli: &Cli) {
 /// Ablation: number of unlabeled instances (the paper's observation 3 on Table 1).
 fn run_ablation_unlabeled(cli: &Cli) {
     println!("\n=== Ablation: unlabeled pool size (SecStr-like) ===");
-    let methods = [
-        LinearMethod::CcaBst,
-        LinearMethod::CcaLs,
-        LinearMethod::Tcca,
-    ];
+    let methods = ["CCA (BST)", "CCA-LS", "TCCA"];
     for n in [400usize, 1200, 2400] {
         let data = secstr(n, 17);
         let config = ExperimentConfig {
@@ -351,7 +346,7 @@ fn run_ablation_unlabeled(cli: &Cli) {
             tcca_iterations: 15,
             ..ExperimentConfig::default()
         };
-        let result = linear_experiment(&data, &methods, &config);
+        let result = linear_experiment_named(&data, &methods, &config);
         print!("unlabeled {n:>6}:");
         for row in &result.best {
             print!("  {} {}", row.method, row.formatted());

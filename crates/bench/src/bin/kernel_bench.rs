@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p tcca-bench --bin kernel_bench [-- --samples N] [--out FILE]
-//!     [--mode strict|fma] [--precision f64|f32] [--whiten]
+//!     [--mode strict|fma] [--whiten]
 //! cargo run --release -p tcca-bench --bin kernel_bench -- --checksums [--mode …] [--out FILE]
 //! ```
 //!
@@ -13,7 +13,7 @@
 //! square product sized for peak-throughput comparison), the covariance /
 //! whitened-covariance tensor build, and the three decomposition solvers — and
 //! emits one JSON object per run. GEMM-shaped entries carry a `gflops` field
-//! computed from the fastest sample, so mode/precision speedups read directly:
+//! computed from the fastest sample, so mode speedups read directly:
 //!
 //! ```json
 //! {"schema": "tcca-kernel-bench/v2", "threads": 1, "mode": "strict", "kernels": [
@@ -24,11 +24,11 @@
 //!
 //! `--mode fma` resolves the process-wide kernel mode to the FMA microkernel
 //! before any product runs (`TCCA_KERNEL_MODE` in the environment still wins —
-//! it is the operator override). `--precision f32` additionally times the
-//! serving projection through the `f32` fast path. `--whiten` appends the
-//! whitening-fit comparison — exact `(C + εI)^{-1/2}` at `d = 512` against the
-//! randomized range-finder at `d ∈ {512, 8192, 100000}` — which takes a few extra
-//! seconds, so it is opt-in. The JSON records the *resolved* mode, so a host
+//! it is the operator override). `cols_proj_f64/4096x64x4` times the shifted
+//! [`ColsView`] projection a served `TransformView` batch runs. `--whiten`
+//! appends the whitening-fit comparison — exact `(C + εI)^{-1/2}` at `d = 512`
+//! against the randomized range-finder at `d ∈ {512, 8192, 100000}` — which
+//! takes a few extra seconds, so it is opt-in. The JSON records the *resolved* mode, so a host
 //! without AVX2+FMA shows `"strict"`.
 //!
 //! `--checksums` instead runs every kernel **once** on fixed seeded inputs at sizes
@@ -53,7 +53,7 @@
 //! bits.
 
 use datasets::GaussianRng;
-use linalg::{gemm, ColsView, Matrix, MatrixF32};
+use linalg::{gemm, ColsView, Matrix};
 use std::fmt::Write as _;
 use std::time::Instant;
 use tcca::{covariance_tensor, whitened_covariance_tensor};
@@ -247,13 +247,12 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut checksums = false;
     let mut mode = gemm::KernelMode::Strict;
-    let mut f32_path = false;
     let mut whiten = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
         match flag {
-            "--samples" | "--out" | "--mode" | "--precision" => {
+            "--samples" | "--out" | "--mode" => {
                 i += 1;
                 let value = args
                     .get(i)
@@ -268,13 +267,6 @@ fn main() {
                             other => panic!("--mode takes strict or fma, got {other}"),
                         }
                     }
-                    "--precision" => {
-                        f32_path = match value.as_str() {
-                            "f64" => false,
-                            "f32" => true,
-                            other => panic!("--precision takes f64 or f32, got {other}"),
-                        }
-                    }
                     _ => unreachable!(),
                 }
             }
@@ -282,7 +274,7 @@ fn main() {
             "--whiten" => whiten = true,
             other => panic!(
                 "unknown argument {other}; use --samples N / --out FILE / --checksums \
-                 / --whiten / --mode strict|fma / --precision f64|f32"
+                 / --whiten / --mode strict|fma"
             ),
         }
         i += 1;
@@ -408,33 +400,18 @@ fn main() {
             std::hint::black_box(inst.t_matmul(&proj).unwrap());
         },
     ));
-    if f32_path {
-        // The same projection through the f32 serving fast path: a ColsView over
-        // the instance block, centered during packing, against an f32 shadow of
-        // the projection — exactly what `Precision::F32` requests execute. Its
-        // f64 twin runs the identical ColsView+shift path so the pair isolates
-        // the precision delta from the direct-A dispatch above.
-        let cols = ColsView::from_matrices(std::iter::once(&inst)).unwrap();
-        let proj32 = MatrixF32::from_f64(&proj);
-        let shift64: Vec<f64> = (0..64).map(|i| (i as f64) * 0.01 - 0.25).collect();
-        let shift32: Vec<f32> = shift64.iter().map(|&x| x as f32).collect();
-        records.push(time_flops(
-            "cols_proj_f64/4096x64x4",
-            samples,
-            2 * 4096 * 64 * 4,
-            || {
-                std::hint::black_box(cols.shifted_t_matmul(Some(&shift64), &proj).unwrap());
-            },
-        ));
-        records.push(time_flops(
-            "cols_proj_f32/4096x64x4",
-            samples,
-            2 * 4096 * 64 * 4,
-            || {
-                std::hint::black_box(cols.shifted_t_matmul_f32(Some(&shift32), &proj32).unwrap());
-            },
-        ));
-    }
+    // The same projection as a served `TransformView` batch runs it: a ColsView
+    // over the instance block, centered during packing.
+    let cols = ColsView::from_matrices(std::iter::once(&inst)).unwrap();
+    let shift: Vec<f64> = (0..64).map(|i| (i as f64) * 0.01 - 0.25).collect();
+    records.push(time_flops(
+        "cols_proj_f64/4096x64x4",
+        samples,
+        2 * 4096 * 64 * 4,
+        || {
+            std::hint::black_box(cols.shifted_t_matmul(Some(&shift), &proj).unwrap());
+        },
+    ));
 
     // Self-products (the covariance / whitening symmetric rank-k path).
     records.push(time("gram/200x400", samples, || {

@@ -32,8 +32,8 @@ pub mod methods;
 pub mod runner;
 
 pub use memcost::MemoryModel;
-pub use methods::{registry, KernelMethod, LinearMethod, MethodOutput};
+pub use methods::{registry, MethodOutput, KERNEL_METHODS, LINEAR_METHODS};
 pub use runner::{
-    kernel_experiment, kernel_experiment_named, linear_experiment, linear_experiment_named,
-    sweep_to_table, ExperimentConfig, ExperimentResult, MethodCurve,
+    kernel_experiment_named, linear_experiment_named, sweep_to_table, ExperimentConfig,
+    ExperimentResult, MethodCurve,
 };

@@ -9,11 +9,10 @@
 //! [`CombineRule`] and the [`MemoryModel`] — no per-method plumbing anywhere in this
 //! crate.
 //!
-//! [`LinearMethod`] and [`KernelMethod`] remain as typed method lists in the paper's
-//! table order; their `run` methods are thin wrappers over [`run_registered`].
+//! [`LINEAR_METHODS`] and [`KERNEL_METHODS`] list the paper's compared methods by
+//! registry name, in table order.
 
 use crate::memcost::MemoryModel;
-use datasets::MultiViewDataset;
 use linalg::Matrix;
 use mvcore::{EstimatorRegistry, FitSpec};
 use std::sync::OnceLock;
@@ -87,142 +86,21 @@ pub fn experiment_spec(rank: usize, epsilon: f64, seed: u64, tcca_iterations: us
         .decomposition_iterations(tcca_iterations)
 }
 
-/// The linear methods of the paper's Tables 1–3 / Figures 3–5 and 7–9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinearMethod {
-    /// Best single-view features.
-    Bsf,
-    /// Concatenation of normalized features of all views.
-    Cat,
-    /// Two-view CCA on the best view pair.
-    CcaBst,
-    /// Two-view CCA on all pairs, predictions combined.
-    CcaAvg,
-    /// Multiset CCA via coupled least squares (Vía et al. 2007).
-    CcaLs,
-    /// Multiset CCA via SVD (Kettenring 1971); not in the paper's tables but provided
-    /// for completeness and the ablation benches.
-    CcaMaxVar,
-    /// Distributed spectral embedding (Long et al. 2008).
-    Dse,
-    /// Structured-sparsity multi-view dimension reduction (Han et al. 2012).
-    Ssmvd,
-    /// The paper's tensor CCA.
-    Tcca,
-}
+/// The linear methods of the paper's Tables 1–3 / Figures 3–5 and 7–9, in table
+/// order. `CCA-MAXVAR` is registered too but is not in the paper's tables.
+pub const LINEAR_METHODS: &[&str] = &[
+    "BSF",
+    "CAT",
+    "CCA (BST)",
+    "CCA (AVG)",
+    "CCA-LS",
+    "DSE",
+    "SSMVD",
+    "TCCA",
+];
 
-impl LinearMethod {
-    /// The display name used in the paper's tables (and the registry key).
-    pub fn name(&self) -> &'static str {
-        match self {
-            LinearMethod::Bsf => "BSF",
-            LinearMethod::Cat => "CAT",
-            LinearMethod::CcaBst => "CCA (BST)",
-            LinearMethod::CcaAvg => "CCA (AVG)",
-            LinearMethod::CcaLs => "CCA-LS",
-            LinearMethod::CcaMaxVar => "CCA-MAXVAR",
-            LinearMethod::Dse => "DSE",
-            LinearMethod::Ssmvd => "SSMVD",
-            LinearMethod::Tcca => "TCCA",
-        }
-    }
-
-    /// The methods compared in the paper's linear experiments, in table order.
-    pub fn paper_set() -> Vec<LinearMethod> {
-        vec![
-            LinearMethod::Bsf,
-            LinearMethod::Cat,
-            LinearMethod::CcaBst,
-            LinearMethod::CcaAvg,
-            LinearMethod::CcaLs,
-            LinearMethod::Dse,
-            LinearMethod::Ssmvd,
-            LinearMethod::Tcca,
-        ]
-    }
-
-    /// True when the representation changes with the subspace dimension `r`.
-    pub fn depends_on_rank(&self) -> bool {
-        rank_dependent(self.name())
-    }
-
-    /// Fit the method on a multi-view dataset and produce representations of all
-    /// instances, dispatching through the estimator registry.
-    ///
-    /// * `rank` — the subspace dimension `r` (per view where applicable).
-    /// * `epsilon` — the CCA/TCCA regularizer ε.
-    /// * `seed` — RNG seed for the iterative solvers.
-    /// * `tcca_iterations` — ALS iteration budget for TCCA (the costly part).
-    pub fn run(
-        &self,
-        dataset: &MultiViewDataset,
-        rank: usize,
-        epsilon: f64,
-        seed: u64,
-        tcca_iterations: usize,
-    ) -> MethodOutput {
-        let spec = experiment_spec(rank, epsilon, seed, tcca_iterations);
-        run_registered(self.name(), dataset.views(), &spec)
-    }
-}
-
-/// The kernel methods of the paper's Table 4 / Figures 6 and 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMethod {
-    /// Best single-view kernel.
-    Bsk,
-    /// Average of the normalized per-view kernels.
-    Avg,
-    /// Two-view kernel CCA on the best pair.
-    KccaBst,
-    /// Two-view kernel CCA on all pairs, predictions combined.
-    KccaAvg,
-    /// The paper's kernel tensor CCA.
-    Ktcca,
-}
-
-impl KernelMethod {
-    /// The display name used in the paper's Table 4 (and the registry key).
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelMethod::Bsk => "BSK",
-            KernelMethod::Avg => "AVG",
-            KernelMethod::KccaBst => "KCCA (BST)",
-            KernelMethod::KccaAvg => "KCCA (AVG)",
-            KernelMethod::Ktcca => "KTCCA",
-        }
-    }
-
-    /// The methods compared in the paper's non-linear experiments, in table order.
-    pub fn paper_set() -> Vec<KernelMethod> {
-        vec![
-            KernelMethod::Bsk,
-            KernelMethod::Avg,
-            KernelMethod::KccaBst,
-            KernelMethod::KccaAvg,
-            KernelMethod::Ktcca,
-        ]
-    }
-
-    /// True when the representation changes with the subspace dimension `r`.
-    pub fn depends_on_rank(&self) -> bool {
-        rank_dependent(self.name())
-    }
-
-    /// Fit the method on per-view centered Gram matrices (`N × N`, one per view),
-    /// dispatching through the estimator registry.
-    pub fn run(
-        &self,
-        kernels: &[Matrix],
-        rank: usize,
-        epsilon: f64,
-        seed: u64,
-        tcca_iterations: usize,
-    ) -> MethodOutput {
-        let spec = experiment_spec(rank, epsilon, seed, tcca_iterations);
-        run_registered(self.name(), kernels, &spec)
-    }
-}
+/// The kernel methods of the paper's Table 4 / Figures 6 and 10, in table order.
+pub const KERNEL_METHODS: &[&str] = &["BSK", "AVG", "KCCA (BST)", "KCCA (AVG)", "KTCCA"];
 
 /// Convenience: two-view KCCA exposed for the ablation benches (fitting a single pair
 /// instead of all pairs).
@@ -233,7 +111,9 @@ pub fn fit_single_kcca(k1: &Matrix, k2: &Matrix, rank: usize, epsilon: f64) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datasets::{center_kernel, gram_matrix, secstr_dataset, Kernel, SecStrConfig};
+    use datasets::{
+        center_kernel, gram_matrix, secstr_dataset, Kernel, MultiViewDataset, SecStrConfig,
+    };
 
     fn tiny_dataset() -> MultiViewDataset {
         secstr_dataset(&SecStrConfig {
@@ -245,22 +125,18 @@ mod tests {
 
     #[test]
     fn names_and_paper_sets() {
-        assert_eq!(LinearMethod::Tcca.name(), "TCCA");
-        assert_eq!(LinearMethod::paper_set().len(), 8);
-        assert_eq!(KernelMethod::paper_set().len(), 5);
-        assert!(!LinearMethod::Bsf.depends_on_rank());
-        assert!(LinearMethod::Tcca.depends_on_rank());
-        assert!(!KernelMethod::Avg.depends_on_rank());
-        assert!(KernelMethod::Ktcca.depends_on_rank());
+        assert_eq!(LINEAR_METHODS.len(), 8);
+        assert_eq!(KERNEL_METHODS.len(), 5);
+        assert!(!rank_dependent("BSF"));
+        assert!(rank_dependent("TCCA"));
+        assert!(!rank_dependent("AVG"));
+        assert!(rank_dependent("KTCCA"));
     }
 
     #[test]
     fn every_paper_method_resolves_through_the_registry() {
-        for method in LinearMethod::paper_set() {
-            assert!(registry().contains(method.name()), "{}", method.name());
-        }
-        for method in KernelMethod::paper_set() {
-            assert!(registry().contains(method.name()), "{}", method.name());
+        for name in LINEAR_METHODS.iter().chain(KERNEL_METHODS) {
+            assert!(registry().contains(name), "{name}");
         }
         assert_eq!(
             registry().input_kind("KTCCA"),
@@ -271,8 +147,8 @@ mod tests {
     #[test]
     fn every_linear_method_produces_representations() {
         let data = tiny_dataset();
-        for method in LinearMethod::paper_set() {
-            let out = method.run(&data, 3, 1e-2, 1, 10);
+        for name in LINEAR_METHODS {
+            let out = run_registered(name, data.views(), &experiment_spec(3, 1e-2, 1, 10));
             assert!(!out.candidates.is_empty(), "{}", out.name);
             for c in &out.candidates {
                 match c {
@@ -288,10 +164,11 @@ mod tests {
     #[test]
     fn bsf_yields_one_candidate_per_view_and_cat_one() {
         let data = tiny_dataset();
-        let bsf = LinearMethod::Bsf.run(&data, 5, 1e-2, 1, 5);
+        let spec = experiment_spec(5, 1e-2, 1, 5);
+        let bsf = run_registered("BSF", data.views(), &spec);
         assert_eq!(bsf.candidates.len(), 3);
         assert_eq!(bsf.combine, CombineRule::SelectBest);
-        let cat = LinearMethod::Cat.run(&data, 5, 1e-2, 1, 5);
+        let cat = run_registered("CAT", data.views(), &spec);
         assert_eq!(cat.candidates.len(), 1);
         if let Representation::Embedding(z) = &cat.candidates[0] {
             assert_eq!(z.cols(), 315);
@@ -303,7 +180,7 @@ mod tests {
     #[test]
     fn cca_avg_uses_average_rule() {
         let data = tiny_dataset();
-        let avg = LinearMethod::CcaAvg.run(&data, 2, 1e-2, 1, 5);
+        let avg = run_registered("CCA (AVG)", data.views(), &experiment_spec(2, 1e-2, 1, 5));
         assert_eq!(avg.combine, CombineRule::Average);
         assert_eq!(avg.candidates.len(), 3); // three view pairs
     }
@@ -316,8 +193,8 @@ mod tests {
             .iter()
             .map(|v| center_kernel(&gram_matrix(v, Kernel::ExpEuclidean)))
             .collect();
-        for method in KernelMethod::paper_set() {
-            let out = method.run(&kernels, 2, 1e-1, 1, 8);
+        for name in KERNEL_METHODS {
+            let out = run_registered(name, &kernels, &experiment_spec(2, 1e-1, 1, 8));
             assert!(!out.candidates.is_empty(), "{}", out.name);
             assert!(out.memory.total_bytes() > 0);
         }

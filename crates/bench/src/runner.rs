@@ -10,8 +10,7 @@
 //! validation accuracy, and (v) reports test accuracy.
 
 use crate::methods::{
-    experiment_spec, rank_dependent, run_registered, CombineRule, KernelMethod, LinearMethod,
-    MethodOutput, Representation,
+    experiment_spec, rank_dependent, run_registered, CombineRule, MethodOutput, Representation,
 };
 use datasets::{
     center_kernel, gram_matrix, labeled_subset, labeled_subset_per_class, validation_split, Kernel,
@@ -144,18 +143,8 @@ struct EvalContext<'a> {
 }
 
 /// Run the linear-methods experiment (Figures 3–5, Tables 1–3, and the cost curves of
-/// Figures 7–9) on one dataset.
-pub fn linear_experiment(
-    dataset: &MultiViewDataset,
-    methods: &[LinearMethod],
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    let names: Vec<&str> = methods.iter().map(LinearMethod::name).collect();
-    linear_experiment_named(dataset, &names, config)
-}
-
-/// Run a linear-methods experiment with the methods given by registry name — the
-/// registry-driven entry point; any estimator registered under
+/// Figures 7–9) on one dataset, with the methods given by registry name (the paper's
+/// set is [`crate::methods::LINEAR_METHODS`]). Any estimator registered under
 /// [`crate::methods::registry`] (including ones added by downstream code) can be
 /// swept without touching this crate.
 pub fn linear_experiment_named(
@@ -177,20 +166,12 @@ pub fn linear_experiment_named(
     })
 }
 
-/// Run the kernel-methods experiment (Figure 6 / Table 4 and Figure 10) on one dataset.
+/// Run the kernel-methods experiment (Figure 6 / Table 4 and Figure 10) on one
+/// dataset, with the methods given by registry name (the paper's set is
+/// [`crate::methods::KERNEL_METHODS`]).
 ///
 /// Kernels follow the paper: the χ² distance kernel for the first (visual-word
 /// histogram) view and the L2 distance kernel for the others, each centered.
-pub fn kernel_experiment(
-    dataset: &MultiViewDataset,
-    methods: &[KernelMethod],
-    config: &ExperimentConfig,
-) -> ExperimentResult {
-    let names: Vec<&str> = methods.iter().map(KernelMethod::name).collect();
-    kernel_experiment_named(dataset, &names, config)
-}
-
-/// Run a kernel-methods experiment with the methods given by registry name.
 pub fn kernel_experiment_named(
     dataset: &MultiViewDataset,
     names: &[&str],
@@ -579,8 +560,8 @@ mod tests {
             seed: 3,
             difficulty: 0.6,
         });
-        let methods = [LinearMethod::Bsf, LinearMethod::CcaLs, LinearMethod::Tcca];
-        let result = linear_experiment(&data, &methods, &quick_config());
+        let methods = ["BSF", "CCA-LS", "TCCA"];
+        let result = linear_experiment_named(&data, &methods, &quick_config());
         assert_eq!(result.curves.len(), 3);
         assert_eq!(result.best.len(), 3);
         for curve in &result.curves {
@@ -612,7 +593,7 @@ mod tests {
             full.labels().to_vec(),
             full.num_classes(),
         );
-        let methods = [LinearMethod::Tcca];
+        let methods = ["TCCA"];
         let config = ExperimentConfig {
             dims: vec![4, 8],
             seeds: vec![0, 1],
@@ -620,7 +601,7 @@ mod tests {
             tcca_iterations: 8,
             ..ExperimentConfig::default()
         };
-        let result = linear_experiment(&data, &methods, &config);
+        let result = linear_experiment_named(&data, &methods, &config);
         // Two balanced classes => chance is 0.5; the planted shared signal must help.
         assert!(
             result.best[0].mean_accuracy > 0.55,
@@ -646,8 +627,8 @@ mod tests {
             epsilon: 1e-1,
             ..ExperimentConfig::default()
         };
-        let methods = [KernelMethod::Bsk, KernelMethod::Avg, KernelMethod::Ktcca];
-        let result = kernel_experiment(&data, &methods, &config);
+        let methods = ["BSK", "AVG", "KTCCA"];
+        let result = kernel_experiment_named(&data, &methods, &config);
         assert_eq!(result.curves.len(), 3);
         for curve in &result.curves {
             for &a in &curve.mean_accuracy {
@@ -663,8 +644,8 @@ mod tests {
             seed: 9,
             difficulty: 0.7,
         });
-        let methods = [LinearMethod::Bsf, LinearMethod::Cat];
-        let result = linear_experiment(&data, &methods, &quick_config());
+        let methods = ["BSF", "CAT"];
+        let result = linear_experiment_named(&data, &methods, &quick_config());
         for curve in &result.curves {
             let first = curve.mean_accuracy[0];
             for &a in &curve.mean_accuracy {

@@ -55,7 +55,6 @@ mod memcost;
 mod model;
 pub mod persist;
 mod pipeline;
-mod preprocess;
 mod registry;
 mod spec;
 mod stage;
@@ -65,11 +64,10 @@ pub use error::CoreError;
 pub use memcost::MemoryModel;
 pub use model::{
     check_same_instances, check_square_kernels, CombineRule, InputKind, MultiViewEstimator,
-    MultiViewModel, Output, ViewProjection,
+    MultiViewModel, Output,
 };
 pub use persist::{ModelMeta, ModelState};
 pub use pipeline::{Pipeline, PipelineBuilder};
-pub use preprocess::Standardizer;
 pub use registry::{EstimatorFactory, EstimatorRegistry};
 pub use spec::{
     FitSpec, WhitenSpec, DEFAULT_DECOMPOSITION_ITERATIONS, DEFAULT_PER_VIEW_DIM,

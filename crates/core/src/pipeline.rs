@@ -21,8 +21,8 @@ use crate::model::check_same_instances;
 use crate::stage::load_fitted_stage;
 use crate::{
     CombineRule, CoreError, FitSpec, FittedStage, InputKind, MemoryModel, ModelState,
-    MultiViewEstimator, MultiViewModel, Output, PcaReduce, Result, Standardize, ViewProjection,
-    ViewStage, WhitenSpec,
+    MultiViewEstimator, MultiViewModel, Output, PcaReduce, Result, Standardize, ViewStage,
+    WhitenSpec,
 };
 use linalg::{ColsView, Matrix};
 
@@ -32,8 +32,8 @@ use linalg::{ColsView, Matrix};
 /// Each [`ViewStage`] may be inert under the given [`FitSpec`] (e.g.
 /// [`Standardize`] when neither `center` nor `scale` is set): inert stages drop
 /// out of the fitted model entirely, so a stage-less pipeline delegates
-/// `transform_view_cols` / `view_projection` straight to the inner model and
-/// keeps its zero-copy serving paths.
+/// `transform_view_cols` straight to the inner model and keeps its zero-copy
+/// serving path.
 ///
 /// The pipeline reports the inner estimator's name, so registering
 /// `Pipeline::builder().standardize().pca().build(Box::new(DseConsensus))` under
@@ -270,16 +270,6 @@ impl MultiViewModel for PipelineModel {
         self.inner.transform_view(which, &out)
     }
 
-    fn view_projection(&self, which: usize) -> Option<ViewProjection<'_>> {
-        // A staged transform is a composition, not a single shifted projection;
-        // only a stage-less pipeline can expose the inner model's weights.
-        if self.slots.is_empty() {
-            self.inner.view_projection(which)
-        } else {
-            None
-        }
-    }
-
     fn outputs(&self, views: &[Matrix]) -> Result<Vec<Output>> {
         self.inner.outputs(&self.reduce(views)?)
     }
@@ -431,8 +421,8 @@ mod tests {
         // The stage-less model delegates straight to the inner model.
         let direct = PcaEstimator.fit(&views, &spec).unwrap();
         assert_eq!(
-            model.view_projection(0).is_some(),
-            direct.view_projection(0).is_some()
+            model.transform_view(0, &views[0]).unwrap(),
+            direct.transform_view(0, &views[0]).unwrap()
         );
         let state = model.save_state().unwrap();
         assert_eq!(state.index("stages/len").unwrap(), 0);

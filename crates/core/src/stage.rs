@@ -22,13 +22,19 @@
 //! projects coalesced serving batches straight out of request buffers.
 
 use crate::estimators::{load_pca, save_pca};
-use crate::preprocess::Standardizer;
 use crate::{CoreError, FitSpec, ModelState, Result, WhitenSpec};
 use baselines::Pca;
 use linalg::{center_rows, covariance, randomized_covariance_eig, ColsView, Matrix};
 
 /// Eigenvalue floor shared with the exact TCCA whitening path.
 const WHITEN_FLOOR: f64 = 1e-12;
+
+/// Floor below which a feature's standard deviation is treated as zero. Scaling
+/// such a feature would divide by (numerical) zero, so [`Standardize`] rejects it
+/// with a typed [`CoreError::DegenerateFeature`] instead of silently leaving the
+/// column unscaled (which made the same pipeline mean different transforms
+/// depending on the data).
+const MIN_STD: f64 = 1e-12;
 
 /// An unfitted preprocessing stage: a description that can fit any view.
 ///
@@ -79,10 +85,10 @@ pub fn load_fitted_stage(
     prefix: &str,
 ) -> Result<Box<dyn FittedStage>> {
     match kind {
-        "standardize" => Ok(Box::new(FittedStandardize(Standardizer::from_parts(
+        "standardize" => Ok(Box::new(FittedStandardize::from_parts(
             state.vector(&format!("{prefix}/means"))?.to_vec(),
             state.vector(&format!("{prefix}/inverse_stds"))?.to_vec(),
-        )?))),
+        )?)),
         "pca" => Ok(Box::new(FittedPca(load_pca(state, prefix)?))),
         "whiten" => {
             let mean = state.vector(&format!("{prefix}/mean"))?.to_vec();
@@ -101,6 +107,12 @@ pub fn load_fitted_stage(
 
 /// Per-feature center/scale stage, driven by `spec.center` / `spec.scale`. Inert
 /// when both switches are off.
+///
+/// `center` subtracts the feature mean, `scale` divides by the feature's
+/// population standard deviation. When `scale` is set and a feature has
+/// (numerically) zero variance, the fit fails with
+/// [`CoreError::DegenerateFeature`] naming the column: no scale makes a constant
+/// feature unit-variance. Drop the column or fit with `scale = false`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Standardize;
 
@@ -118,12 +130,65 @@ impl ViewStage for Standardize {
         if !spec.center && !spec.scale {
             return Ok(None);
         }
-        let scaler = Standardizer::fit(view, spec.center, spec.scale)?;
-        Ok(Some(Box::new(FittedStandardize(scaler))))
+        let fitted = FittedStandardize::fit(view, spec.center, spec.scale)?;
+        Ok(Some(Box::new(fitted)))
     }
 }
 
-struct FittedStandardize(Standardizer);
+/// Fitted per-feature means and inverse standard deviations of one view, so
+/// held-out instances go through exactly the training-time transformation.
+struct FittedStandardize {
+    means: Vec<f64>,
+    inverse_stds: Vec<f64>,
+}
+
+impl FittedStandardize {
+    fn fit(view: &Matrix, center: bool, scale: bool) -> Result<Self> {
+        let d = view.rows();
+        let n = view.cols().max(1) as f64;
+        let mut means = vec![0.0; d];
+        let mut inverse_stds = vec![1.0; d];
+        for i in 0..d {
+            let row = view.row(i);
+            let mean = row.iter().sum::<f64>() / n;
+            if center {
+                means[i] = mean;
+            }
+            if scale {
+                let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+                let std = var.sqrt();
+                if std <= MIN_STD {
+                    return Err(CoreError::DegenerateFeature {
+                        column: i,
+                        reason: format!(
+                            "standard deviation {std:.3e} is below {MIN_STD:.0e}; a \
+                             constant feature cannot be scaled to unit variance"
+                        ),
+                    });
+                }
+                inverse_stds[i] = 1.0 / std;
+            }
+        }
+        Ok(Self {
+            means,
+            inverse_stds,
+        })
+    }
+
+    fn from_parts(means: Vec<f64>, inverse_stds: Vec<f64>) -> Result<Self> {
+        if means.len() != inverse_stds.len() {
+            return Err(CoreError::InvalidInput(format!(
+                "{} means but {} inverse stds",
+                means.len(),
+                inverse_stds.len()
+            )));
+        }
+        Ok(Self {
+            means,
+            inverse_stds,
+        })
+    }
+}
 
 impl FittedStage for FittedStandardize {
     fn kind(&self) -> &'static str {
@@ -131,12 +196,27 @@ impl FittedStage for FittedStandardize {
     }
 
     fn apply(&self, view: &Matrix) -> Result<Matrix> {
-        self.0.apply(view)
+        if view.rows() != self.means.len() {
+            return Err(CoreError::InvalidInput(format!(
+                "view has {} features but the standardizer expects {}",
+                view.rows(),
+                self.means.len()
+            )));
+        }
+        let mut out = view.clone();
+        for i in 0..out.rows() {
+            let mean = self.means[i];
+            let inv = self.inverse_stds[i];
+            for v in out.row_mut(i) {
+                *v = (*v - mean) * inv;
+            }
+        }
+        Ok(out)
     }
 
     fn save(&self, state: &mut ModelState, prefix: &str) {
-        state.put_vector(format!("{prefix}/means"), self.0.means());
-        state.put_vector(format!("{prefix}/inverse_stds"), self.0.inverse_stds());
+        state.put_vector(format!("{prefix}/means"), &self.means);
+        state.put_vector(format!("{prefix}/inverse_stds"), &self.inverse_stds);
     }
 }
 
@@ -363,6 +443,61 @@ mod tests {
             }
         }
         x
+    }
+
+    fn toy_view() -> Matrix {
+        Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![10.0, 11.0, 9.0, 10.0]]).unwrap()
+    }
+
+    fn standardize(view: &Matrix, center: bool, scale: bool) -> Result<Box<dyn FittedStage>> {
+        let spec = FitSpec::with_rank(1).center(center).scale(scale);
+        Ok(Standardize.fit(0, view, &spec)?.expect("an active stage"))
+    }
+
+    #[test]
+    fn centers_and_scales_features() {
+        let v = toy_view();
+        let t = standardize(&v, true, true).unwrap().apply(&v).unwrap();
+        for i in 0..2 {
+            let mean: f64 = t.row(i).iter().sum::<f64>() / 4.0;
+            assert!(mean.abs() < 1e-12, "row {i} mean {mean}");
+            let var: f64 = t.row(i).iter().map(|x| x * x).sum::<f64>() / 4.0;
+            assert!((var - 1.0).abs() < 1e-12, "row {i} variance {var}");
+        }
+    }
+
+    #[test]
+    fn scaling_a_constant_feature_is_a_typed_error() {
+        let v =
+            Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![10.0, 10.0, 10.0, 10.0]]).unwrap();
+        // Centering alone is fine — the constant row just becomes zero.
+        let centered = standardize(&v, true, false).unwrap().apply(&v).unwrap();
+        assert!(centered.row(1).iter().all(|&x| x == 0.0));
+        // Scaling it names the offending column.
+        match standardize(&v, true, true) {
+            Err(CoreError::DegenerateFeature { column, .. }) => assert_eq!(column, 1),
+            Err(other) => panic!("expected DegenerateFeature, got {other:?}"),
+            Ok(_) => panic!("expected DegenerateFeature, got a fitted stage"),
+        }
+    }
+
+    #[test]
+    fn center_only_and_scale_only() {
+        let v = toy_view();
+        let centered = standardize(&v, true, false).unwrap().apply(&v).unwrap();
+        assert!((centered[(0, 0)] + 1.5).abs() < 1e-12);
+        let scaled = standardize(&v, false, true).unwrap().apply(&v).unwrap();
+        // Mean is untouched when only scaling.
+        let mean: f64 = scaled.row(0).iter().sum::<f64>() / 4.0;
+        assert!(mean > 0.0);
+    }
+
+    #[test]
+    fn rejects_wrong_dimensionality() {
+        let s = standardize(&toy_view(), true, true).unwrap();
+        assert!(s.apply(&Matrix::zeros(3, 4)).is_err());
+        // Same feature count, different instance count is fine (out-of-sample use).
+        assert!(s.apply(&Matrix::zeros(2, 9)).is_ok());
     }
 
     #[test]

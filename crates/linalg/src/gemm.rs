@@ -10,21 +10,20 @@
 //!   out exactly as the inner loop consumes them (one `MR`-lane and one `NRV`-lane
 //!   row per reduction step);
 //! * the `microkernel` computes an `MR×NRV` output tile with all `MR·NRV`
-//!   accumulators live in registers, reading each packed value once. Its body indexes
-//!   fixed-size arrays only (`&[E; MR]` / `&[E; NRV]` obtained via `chunks_exact`),
-//!   so there are **no bounds checks inside the tile loop** and the `NRV`-wide lane
-//!   arithmetic autovectorizes.
+//!   accumulators live in registers, reading each packed value once. Its body
+//!   indexes fixed-size arrays only (`&[f64; MR]` / `&[f64; NRV]` obtained via
+//!   `chunks_exact`), so there are **no bounds checks inside the tile loop** and
+//!   the `NRV`-wide lane arithmetic autovectorizes.
 //!
 //! `NRV` is the *instantiated* tile width: the driver is const-generic over it and
 //! the dispatcher picks [`NR`]` = 8` for general shapes or the skinny
 //! specialization `NR/2 = 4` when the whole output is at most `NR/2` columns wide
 //! (the `t_matmul_proj`-shaped serving projections), so narrow projections stop
 //! padding half the register file. The packed B-panel of one k-block is
-//! `KC·NRV·sizeof(E)` bytes — 16 KiB for the `NR=8` f64 tile, and proportionally
-//! smaller for the skinny and f32 instantiations — always L1-resident while each
-//! A micro-panel streams against it. The tile-width choice **never changes
-//! results**: each output element's reduction order depends only on `k`, not on
-//! which tile column the element lands in.
+//! `KC·NRV·8` bytes — 16 KiB for the `NR=8` tile and 8 KiB for the skinny one —
+//! always L1-resident while each A micro-panel streams against it. The tile-width
+//! choice **never changes results**: each output element's reduction order depends
+//! only on `k`, not on which tile column the element lands in.
 //!
 //! Edge tiles are handled by zero-padding the packed panels to full `MR`/`NRV` width
 //! and copying back only the valid lanes, so the hot loop never branches on tile
@@ -92,9 +91,9 @@ pub const MR: usize = 4;
 /// for general shapes. The dispatcher instantiates `NR/2`-wide tiles for outputs
 /// that are at most `NR/2` columns wide.
 pub const NR: usize = 8;
-/// Reduction block depth: one packed `KC×NRV` B-panel (`KC·NRV·sizeof(E)` bytes —
-/// at most 16 KiB for the widest f64 tile) stays L1-resident while each A
-/// micro-panel streams against it.
+/// Reduction block depth: one packed `KC×NRV` B-panel (`KC·NRV·8` bytes — at
+/// most 16 KiB for the widest tile) stays L1-resident while each A micro-panel
+/// streams against it.
 pub const KC: usize = 256;
 /// Rows of `A` packed per block: `MC×KC` doubles (128 KiB) sit in L2 while the
 /// packed micro-panels are re-read once per B panel.
@@ -186,58 +185,19 @@ pub fn shared_pack_hits() -> u64 {
     SHARED_PACK_HITS.load(Ordering::Relaxed)
 }
 
-/// The scalar element type the engine is instantiated over: `f64` everywhere, and
-/// `f32` for the opt-in reduced-precision serving path. `madd` keeps multiply and
-/// add as separate roundings (strict mode); `fmadd` contracts them into one
-/// (`mul_add` compiles to a fused instruction inside the `avx2,fma` band).
-pub(crate) trait Element:
-    Copy + Send + Sync + PartialEq + std::ops::Add<Output = Self> + 'static
-{
-    /// Additive identity, used to zero accumulators and pad edge tiles.
-    const ZERO: Self;
-    /// `self + a * b` with two roundings (strict mode).
-    fn madd(self, a: Self, b: Self) -> Self;
-    /// `self + a * b` with a single rounding (FMA mode).
-    fn fmadd(self, a: Self, b: Self) -> Self;
-}
-
-impl Element for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn madd(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-    #[inline(always)]
-    fn fmadd(self, a: Self, b: Self) -> Self {
-        a.mul_add(b, self)
-    }
-}
-
-impl Element for f32 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn madd(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-    #[inline(always)]
-    fn fmadd(self, a: Self, b: Self) -> Self {
-        a.mul_add(b, self)
-    }
-}
-
 /// Packing callback: `pack(dst, first, valid, p0, kc)` fills `dst` (length
 /// `kc * MR` for A sources, `kc * NRV` for B sources — B packers derive the lane
 /// width from `dst.len() / kc` so one packer serves every tile instantiation)
 /// with the operand values for lanes `first..first + valid` over reduction
 /// indices `p0..p0 + kc`, laid out lane-fastest (`dst[step * LANES + lane]`).
 /// Lanes `>= valid` must be zeroed.
-pub(crate) type Pack<'a, E> = &'a (dyn Fn(&mut [E], usize, usize, usize, usize) + Sync);
+pub(crate) type Pack<'a> = &'a (dyn Fn(&mut [f64], usize, usize, usize, usize) + Sync);
 
 /// How the band loop obtains the left operand's micro-panels.
 #[derive(Clone, Copy)]
-pub(crate) enum ASource<'a, E> {
+pub(crate) enum ASource<'a> {
     /// Copy micro-panels through the packer — the general case.
-    Packed(Pack<'a, E>),
+    Packed(Pack<'a>),
     /// The operand is already lane-fastest in memory: lanes `first..first + MR`
     /// at reduction step `p` live at `data[p * stride + first..][..MR]` (the
     /// `Aᵀ` operand of `t_matmul`, where `stride` is the row length ≥ `m`).
@@ -246,31 +206,32 @@ pub(crate) enum ASource<'a, E> {
     /// wins.
     Strided {
         /// The operand's backing storage in step-major, lane-fastest layout.
-        data: &'a [E],
+        data: &'a [f64],
         /// Elements between consecutive reduction steps.
         stride: usize,
         /// Fallback packer describing the same operand.
-        pack: Pack<'a, E>,
+        pack: Pack<'a>,
     },
 }
 
 /// One reduction step of an `MR×NRV` tile: `acc[i][j] (+)= a[i] · b[j]`, where
-/// `(+)` is a separate multiply-and-add in strict mode (`FMA = false`) and a
-/// fused contraction in FMA mode. Fixed-size array inputs keep the body free of
+/// `(+)` is a separate multiply-and-add `acc + a·b` in strict mode (`FMA = false`)
+/// and the fused `a.mul_add(b, acc)` in FMA mode (one `vfmadd` inside the
+/// `avx2,fma` band). Fixed-size array inputs keep the body free of
 /// bounds checks; the `j` loop vectorizes over the element lanes.
 #[inline(always)]
-fn tile_step<E: Element, const NRV: usize, const FMA: bool>(
-    a: &[E; MR],
-    b: &[E; NRV],
-    acc: &mut [[E; NRV]; MR],
+fn tile_step<const NRV: usize, const FMA: bool>(
+    a: &[f64; MR],
+    b: &[f64; NRV],
+    acc: &mut [[f64; NRV]; MR],
 ) {
     for i in 0..MR {
         let ai = a[i];
         for j in 0..NRV {
             acc[i][j] = if FMA {
-                acc[i][j].fmadd(ai, b[j])
+                ai.mul_add(b[j], acc[i][j])
             } else {
-                acc[i][j].madd(ai, b[j])
+                acc[i][j] + ai * b[j]
             };
         }
     }
@@ -281,16 +242,16 @@ fn tile_step<E: Element, const NRV: usize, const FMA: bool>(
 /// bands below) apply to the body — that is what turns the `NRV` lanes into ymm
 /// `vmulpd`/`vaddpd` (strict) or `vfmadd` (FMA) arithmetic.
 #[inline(always)]
-fn microkernel<E: Element, const NRV: usize, const FMA: bool>(
+fn microkernel<const NRV: usize, const FMA: bool>(
     kc: usize,
-    ap: &[E],
-    bp: &[E],
-    acc: &mut [[E; NRV]; MR],
+    ap: &[f64],
+    bp: &[f64],
+    acc: &mut [[f64; NRV]; MR],
 ) {
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NRV)).take(kc) {
-        let a: &[E; MR] = a.try_into().expect("packed A lane width");
-        let b: &[E; NRV] = b.try_into().expect("packed B lane width");
-        tile_step::<E, NRV, FMA>(a, b, acc);
+        let a: &[f64; MR] = a.try_into().expect("packed A lane width");
+        let b: &[f64; NRV] = b.try_into().expect("packed B lane width");
+        tile_step::<NRV, FMA>(a, b, acc);
     }
 }
 
@@ -299,19 +260,19 @@ fn microkernel<E: Element, const NRV: usize, const FMA: bool>(
 /// `ASource::Strided` operands. Identical values in identical order, so the
 /// bits match the packed variant exactly.
 #[inline(always)]
-fn microkernel_strided<E: Element, const NRV: usize, const FMA: bool>(
+fn microkernel_strided<const NRV: usize, const FMA: bool>(
     kc: usize,
-    a: &[E],
+    a: &[f64],
     stride: usize,
-    bp: &[E],
-    acc: &mut [[E; NRV]; MR],
+    bp: &[f64],
+    acc: &mut [[f64; NRV]; MR],
 ) {
     for (p, b) in bp.chunks_exact(NRV).take(kc).enumerate() {
-        let a: &[E; MR] = a[p * stride..p * stride + MR]
+        let a: &[f64; MR] = a[p * stride..p * stride + MR]
             .try_into()
             .expect("strided A lane width");
-        let b: &[E; NRV] = b.try_into().expect("packed B lane width");
-        tile_step::<E, NRV, FMA>(a, b, acc);
+        let b: &[f64; NRV] = b.try_into().expect("packed B lane width");
+        tile_step::<NRV, FMA>(a, b, acc);
     }
 }
 
@@ -333,8 +294,8 @@ pub(crate) fn gemm(
     out: &mut Matrix,
     threads: usize,
     upper_only: bool,
-    pack_a: Pack<'_, f64>,
-    pack_b: Pack<'_, f64>,
+    pack_a: Pack<'_>,
+    pack_b: Pack<'_>,
 ) {
     gemm_a(
         m,
@@ -358,44 +319,30 @@ pub(crate) fn gemm_a(
     out: &mut Matrix,
     threads: usize,
     upper_only: bool,
-    a: ASource<'_, f64>,
-    pack_b: Pack<'_, f64>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
     debug_assert_eq!(out.shape(), (m, n));
-    gemm_slice::<f64>(m, n, k, out.as_mut_slice(), threads, upper_only, a, pack_b);
-}
-
-/// The element-generic entry point (the f32 serving path calls this directly with
-/// an `f32` output slice). Resolves the process kernel mode and dispatches to the
-/// tile instantiation matching the output width.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slice<E: Element>(
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [E],
-    threads: usize,
-    upper_only: bool,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
-) {
     let fma = kernel_mode() == KernelMode::Fma;
+    let out = out.as_mut_slice();
     gemm_slice_mode(m, n, k, out, threads, upper_only, fma, a, pack_b);
 }
 
-/// [`gemm_slice`] with the contraction mode passed explicitly — the seam the unit
-/// tests use to exercise the FMA build regardless of the process-wide mode.
+/// [`gemm_a`] over a raw output slice with the contraction mode passed
+/// explicitly — the seam the unit tests use to exercise the FMA build regardless
+/// of the process-wide mode. Dispatches to the tile instantiation matching the
+/// output width.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slice_mode<E: Element>(
+pub(crate) fn gemm_slice_mode(
     m: usize,
     n: usize,
     k: usize,
-    out: &mut [E],
+    out: &mut [f64],
     threads: usize,
     upper_only: bool,
     fma: bool,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
@@ -405,9 +352,9 @@ pub(crate) fn gemm_slice_mode<E: Element>(
     // instantiate NR/2-wide tiles instead of padding. Never affects bits — each
     // element's reduction order is a function of k alone.
     if n <= NR_SKINNY {
-        gemm_driver::<E, NR_SKINNY>(m, n, k, out, threads, upper_only, fma, a, pack_b);
+        gemm_driver::<NR_SKINNY>(m, n, k, out, threads, upper_only, fma, a, pack_b);
     } else {
-        gemm_driver::<E, NR>(m, n, k, out, threads, upper_only, fma, a, pack_b);
+        gemm_driver::<NR>(m, n, k, out, threads, upper_only, fma, a, pack_b);
     }
 }
 
@@ -417,16 +364,16 @@ pub(crate) fn gemm_slice_mode<E: Element>(
 /// the worker threads), then the row bands consume it in parallel, walking the
 /// super-block's k-blocks in ascending order.
 #[allow(clippy::too_many_arguments)]
-fn gemm_driver<E: Element, const NRV: usize>(
+fn gemm_driver<const NRV: usize>(
     m: usize,
     n: usize,
     k: usize,
-    out: &mut [E],
+    out: &mut [f64],
     threads: usize,
     upper_only: bool,
     fma: bool,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
     // Whole MR-blocks per thread band (a couple per thread for load balance); the
     // band boundary never splits a micro-tile, so each band is an independent
@@ -450,9 +397,9 @@ fn gemm_driver<E: Element, const NRV: usize>(
     // panel offsets are uniform; the last (shorter) block just leaves its tail
     // unread.
     let block_stride = n_panels * NRV * kc_max;
-    let sb_blocks =
-        (B_ARENA_BUDGET / (block_stride * std::mem::size_of::<E>()).max(1)).clamp(1, total_blocks);
-    let mut bp = vec![E::ZERO; sb_blocks * block_stride];
+    let sb_blocks = (B_ARENA_BUDGET / (block_stride * std::mem::size_of::<f64>()).max(1))
+        .clamp(1, total_blocks);
+    let mut bp = vec![0.0; sb_blocks * block_stride];
 
     let mut b0 = 0;
     while b0 < total_blocks {
@@ -472,13 +419,13 @@ fn gemm_driver<E: Element, const NRV: usize>(
             // Every band beyond the first consumes panels it did not pack.
             SHARED_PACK_HITS.fetch_add((nb * n_panels * (n_bands - 1)) as u64, Ordering::Relaxed);
         }
-        let arena: &[E] = &bp[..nb * block_stride];
+        let arena: &[f64] = &bp[..nb * block_stride];
         parallel::for_each_chunk_mut(out, band_rows * n, threads, |band, chunk| {
-            let mut ap = vec![E::ZERO; MC * kc_max];
+            let mut ap = vec![0.0; MC * kc_max];
             for bi in 0..nb {
                 let p0 = sb_p0 + bi * KC;
                 let kc = KC.min(k - p0);
-                band_kblock::<E, NRV>(
+                band_kblock::<NRV>(
                     fma,
                     band * band_rows,
                     chunk,
@@ -504,17 +451,17 @@ fn gemm_driver<E: Element, const NRV: usize>(
 /// affects a single bit. The FMA build is only reachable when the process mode
 /// resolved to [`KernelMode::Fma`] (which implies AVX2+FMA hardware).
 #[allow(clippy::too_many_arguments)]
-fn band_kblock<E: Element, const NRV: usize>(
+fn band_kblock<const NRV: usize>(
     fma: bool,
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
     {
@@ -523,20 +470,20 @@ fn band_kblock<E: Element, const NRV: usize>(
             // SAFETY: `fma == true` only after `clamp_to_host` (or the unit tests)
             // verified AVX2+FMA at runtime.
             unsafe {
-                band_kblock_fma::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+                band_kblock_fma::<NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
             }
             return;
         }
         if *HAS_AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
             // SAFETY: AVX2 support was verified at runtime just above.
             unsafe {
-                band_kblock_avx2::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+                band_kblock_avx2::<NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
             }
             return;
         }
     }
     let _ = fma; // non-x86 hosts always resolve to the strict scalar build
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
 }
 
 /// The band loop recompiled with 256-bit vectors enabled: the `inline(always)`
@@ -546,18 +493,18 @@ fn band_kblock<E: Element, const NRV: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
+unsafe fn band_kblock_avx2<const NRV: usize>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
 }
 
 /// The band loop recompiled with AVX2 **and** FMA enabled, instantiating the
@@ -566,32 +513,32 @@ unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn band_kblock_fma<E: Element, const NRV: usize>(
+unsafe fn band_kblock_fma<const NRV: usize>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
-    band_kblock_impl::<E, NRV, true>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<NRV, true>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
+fn band_kblock_impl<const NRV: usize, const FMA: bool>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
     let band_m = c.len() / n;
     let n_panels = n.div_ceil(NRV);
@@ -646,11 +593,11 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                     continue;
                 }
                 let mv = MR.min(mc - ib * MR);
-                let mut acc = [[E::ZERO; NRV]; MR];
+                let mut acc = [[0.0; NRV]; MR];
                 match a {
                     ASource::Strided { data, stride, .. } if mv == MR => {
                         let first = band_i0 + row0;
-                        microkernel_strided::<E, NRV, FMA>(
+                        microkernel_strided::<NRV, FMA>(
                             kc,
                             &data[p0 * stride + first..],
                             stride,
@@ -658,7 +605,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                             &mut acc,
                         );
                     }
-                    _ => microkernel::<E, NRV, FMA>(
+                    _ => microkernel::<NRV, FMA>(
                         kc,
                         &ap[ib * MR * kc..(ib + 1) * MR * kc],
                         bp_panel,
@@ -669,7 +616,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                     let base = (row0 + ii) * n + j0;
                     let row = &mut c[base..base + nv];
                     for (o, v) in row.iter_mut().zip(acc_row[..nv].iter()) {
-                        *o = *o + *v;
+                        *o += *v;
                     }
                 }
             }
@@ -912,56 +859,6 @@ mod tests {
         );
         // And sharing the arena never changes bits vs a single band.
         assert_eq!(multi, run_mode(&a, &b, 1, false));
-    }
-
-    #[test]
-    fn f32_instantiation_tracks_f64_within_tolerance() {
-        let a64 = sample(37, 129, 0.2);
-        let b64 = sample(129, 3, 0.6);
-        let a32: Vec<f32> = a64.as_slice().iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b64.as_slice().iter().map(|&v| v as f32).collect();
-        let (m, k, n) = (37, 129, 3);
-        let mut out32 = vec![0.0f32; m * n];
-        let pack_a = move |dst: &mut [f32], i0: usize, valid: usize, p0: usize, kc: usize| {
-            if valid < MR {
-                dst.fill(0.0);
-            }
-            for ii in 0..valid {
-                for p in 0..kc {
-                    dst[p * MR + ii] = a32[(i0 + ii) * 129 + p0 + p];
-                }
-            }
-        };
-        let pack_b = move |dst: &mut [f32], j0: usize, valid: usize, p0: usize, kc: usize| {
-            let w = dst.len() / kc;
-            if valid < w {
-                dst.fill(0.0);
-            }
-            for p in 0..kc {
-                for jj in 0..valid {
-                    dst[p * w + jj] = b32[(p0 + p) * n + j0 + jj];
-                }
-            }
-        };
-        gemm_slice_mode(
-            m,
-            n,
-            k,
-            &mut out32,
-            2,
-            false,
-            false,
-            ASource::Packed(&pack_a),
-            &pack_b,
-        );
-        let reference = naive(&a64, &b64);
-        for (i, (&got, &want)) in out32.iter().zip(reference.as_slice().iter()).enumerate() {
-            let tol = 4.0 * k as f64 * f64::from(f32::EPSILON);
-            assert!(
-                (f64::from(got) - want).abs() <= tol * want.abs().max(1.0),
-                "element {i}: f32 {got} vs f64 {want}"
-            );
-        }
     }
 
     #[test]

@@ -33,14 +33,21 @@
 //! wire, so the happy path never deep-copies a request matrix. Blocking wrappers
 //! ([`BatchEngine::transform`], …) remain for direct callers.
 //!
+//! A `transform_view` batch has one compute path: the model's `f64` projection,
+//! fed by the blocked GEMM engine and returned to the wire unchanged. The
+//! request's `Precision` byte has the single value `F64` and takes no part in
+//! batching.
+//!
 //! If a batched call fails (e.g. a transductive DSE model that only accepts its
 //! exact training batch, or one malformed request in the batch), the engine falls
 //! back to executing the batch's requests individually so a bad request cannot
-//! poison its neighbours. Requests for *different* models never wait on each other
+//! poison its neighbours. A model call that **panics** is caught where it runs
+//! and answered in band with [`ServeError::ModelPanicked`], naming the model, so
+//! every request still gets exactly one reply and a router neither fails over nor
+//! marks the shard dead. Requests for *different* models never wait on each other
 //! beyond queue order: each batch is dispatched to the pool asynchronously and the
 //! dispatcher immediately opens the next one.
 
-use crate::store::ViewShadowF32;
 use crate::wire::{CandidateKind, NamedOutput, Precision};
 use crate::{ModelStore, Result, ServeError};
 use linalg::{ColsView, Matrix};
@@ -113,11 +120,6 @@ pub struct EngineStats {
     /// Requests dropped (in-band, with [`ServeError::DeadlineExceeded`]) because
     /// their deadline passed before execution.
     pub deadline_dropped: usize,
-    /// View requests served through the opt-in `f32` fast path: the model
-    /// exposed an `f32` shadow of the requested view's projection and the batch
-    /// ran through it. `F32` requests against models without a shadow fall back
-    /// to `f64` and are *not* counted — the counter reports what actually ran.
-    pub f32_transforms: usize,
 }
 
 impl EngineStats {
@@ -134,7 +136,6 @@ impl EngineStats {
             ("shed_queue_full".into(), self.shed_queue_full as u64),
             ("shed_model_limit".into(), self.shed_model_limit as u64),
             ("deadline_dropped".into(), self.deadline_dropped as u64),
-            ("engine/f32_transforms".into(), self.f32_transforms as u64),
         ]
     }
 }
@@ -146,11 +147,8 @@ enum BatchOp {
     /// `model.transform(all views)`.
     Transform,
     /// `model.transform_view(v, view)` — single-view requests carry exactly one
-    /// matrix, so batching them stitches **one** view instead of all `m`. The
-    /// requested [`Precision`] is part of the key: `f32` and `f64` requests
-    /// never coalesce into one model call, so each request gets exactly the
-    /// arithmetic it asked for.
-    View(usize, Precision),
+    /// matrix, so batching them stitches **one** view instead of all `m`.
+    View(usize),
 }
 
 /// A request's input matrices, `Arc`-shared with the submitter (the server's
@@ -399,23 +397,20 @@ impl BatchEngine {
     /// projection. Concurrent single-view requests for the same `(model, view)`
     /// coalesce into one `transform_view` call that — for feature views — addresses
     /// every request's columns in place through a [`linalg::ColsView`]: no stitched
-    /// copy, no per-view `hstack`, zero input copies.
-    /// `precision` selects the arithmetic: [`Precision::F32`] runs the
-    /// projection through the model's cached `f32` shadow when one exists for
-    /// this view, and silently falls back to the bit-exact `f64` path when it
-    /// does not ([`EngineStats::f32_transforms`] reports which one ran).
+    /// copy, no per-view `hstack`, zero input copies. The projection always runs
+    /// in `f64`: [`Precision`] has the one value `F64`.
     pub fn submit_transform_view(
         &self,
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
+        _precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     ) {
         self.enqueue(
             model,
-            BatchOp::View(which, precision),
+            BatchOp::View(which),
             PendingInputs::View(input),
             deadline,
             reply,
@@ -465,10 +460,9 @@ impl BatchEngine {
                     "deadline passed while queued for execution".into(),
                 )));
             }
-            let result = store
-                .get(&model)
-                .and_then(|m| named_outputs(m.as_ref(), &inputs));
-            reply(result);
+            reply(guarded(&model, || {
+                named_outputs(store.get(&model)?.as_ref(), &inputs)
+            }));
         });
     }
 
@@ -487,27 +481,14 @@ impl BatchEngine {
         rx.recv().map_err(|_| ServeError::EngineStopped)?
     }
 
-    /// Blocking counterpart of [`BatchEngine::submit_transform_view`], at the
-    /// default `f64` precision.
+    /// Blocking counterpart of [`BatchEngine::submit_transform_view`].
     pub fn transform_view(&self, model: &str, which: usize, input: Matrix) -> Result<Matrix> {
-        self.transform_view_precision(model, which, input, Precision::F64)
-    }
-
-    /// Blocking counterpart of [`BatchEngine::submit_transform_view`] with an
-    /// explicit precision.
-    pub fn transform_view_precision(
-        &self,
-        model: &str,
-        which: usize,
-        input: Matrix,
-        precision: Precision,
-    ) -> Result<Matrix> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         self.submit_transform_view(
             model,
             which,
             Arc::new(input),
-            precision,
+            Precision::F64,
             None,
             Box::new(move |r| drop(tx.send(r))),
         );
@@ -711,37 +692,34 @@ fn dispatch_loop(shared: &Shared) {
     }
 }
 
-/// Project the columns through a view's `f32` shadow: the narrowed factors were
-/// cached at shadow build time, so a request only pays the one `f32` GEMM (plus
-/// narrowing its own input columns inside the pack). Accuracy is governed by the
-/// tolerance contract on [`ColsView::shifted_t_matmul_f32`].
-fn run_view_f32(shadow: &ViewShadowF32, cols: &ColsView<'_>) -> Result<Matrix> {
-    cols.shifted_t_matmul_f32(shadow.shift.as_deref(), &shadow.weights)
-        .map_err(|e| ServeError::from(mvcore::CoreError::from(e)))
+/// Run one model call, turning a panic into an in-band
+/// [`ServeError::ModelPanicked`] that names the model. The pool would catch the
+/// unwind too, but only by dropping the job — and with it the reply callbacks
+/// the call was supposed to answer.
+fn guarded<T>(model: &str, call: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(ServeError::ModelPanicked {
+            model: model.to_string(),
+            message,
+        })
+    })
 }
 
 /// Run one request alone (the singleton-bypass and fallback path): the model reads
-/// the borrowed `Arc`'d input directly — no stitch, no copy. `f32_view` is the
-/// shadow to project through when the request asked for (and the model supports)
-/// the `f32` path.
-fn run_single(
-    model: &dyn MultiViewModel,
-    op: BatchOp,
-    inputs: &PendingInputs,
-    f32_view: Option<&ViewShadowF32>,
-) -> Result<Matrix> {
+/// the borrowed `Arc`'d input directly — no stitch, no copy.
+fn run_single(model: &dyn MultiViewModel, op: BatchOp, inputs: &PendingInputs) -> Result<Matrix> {
     match (op, inputs) {
         (BatchOp::Transform, PendingInputs::Full(views)) => {
             model.transform(views).map_err(ServeError::from)
         }
-        (BatchOp::View(v, _), PendingInputs::View(input)) => match f32_view {
-            Some(shadow) => {
-                let cols = ColsView::from_matrices(std::iter::once(&**input))
-                    .map_err(|e| ServeError::Protocol(e.to_string()))?;
-                run_view_f32(shadow, &cols)
-            }
-            None => model.transform_view(v, input).map_err(ServeError::from),
-        },
+        (BatchOp::View(v), PendingInputs::View(input)) => {
+            model.transform_view(v, input).map_err(ServeError::from)
+        }
         _ => Err(ServeError::Protocol(
             "request inputs do not match its operation".into(),
         )),
@@ -771,7 +749,8 @@ fn execute_batch(
     if batch.is_empty() {
         return;
     }
-    let model: Arc<dyn MultiViewModel> = match store.get(&batch[0].model) {
+    let name = batch[0].model.clone();
+    let model: Arc<dyn MultiViewModel> = match guarded(&name, || store.get(&name)) {
         Ok(m) => m,
         Err(e) => {
             // ServeError is not Clone (it can wrap io::Error); forward the load
@@ -783,22 +762,6 @@ fn execute_batch(
             return;
         }
     };
-    // Resolve the f32 shadow once per batch (every member shares the batch key,
-    // so one resolution covers them all). Only feature views have a projection
-    // to narrow; an F32 request the model cannot shadow falls back to f64.
-    let shadow = match batch[0].op {
-        BatchOp::View(_, Precision::F32) if kind == InputKind::Views => {
-            store.f32_shadow(&batch[0].model).ok()
-        }
-        _ => None,
-    };
-    let f32_view = match batch[0].op {
-        BatchOp::View(which, _) => shadow.as_deref().and_then(|s| s.view(which)),
-        BatchOp::Transform => None,
-    };
-    if f32_view.is_some() {
-        stats.lock().expect("engine stats lock").f32_transforms += batch.len();
-    }
     if batch.len() == 1 {
         // Singleton bypass: the coalescing path (and any stitching it might do) is
         // skipped entirely — the model reads the request's own matrices in place.
@@ -806,7 +769,7 @@ fn execute_batch(
         let Pending {
             op, inputs, reply, ..
         } = batch.into_iter().next().expect("one request");
-        reply(run_single(model.as_ref(), op, &inputs, f32_view));
+        reply(guarded(&name, || run_single(model.as_ref(), op, &inputs)));
         return;
     }
 
@@ -817,7 +780,7 @@ fn execute_batch(
     // this can undercount, never overcount: the stat stays honest.)
     let view_batch = matches!(batch[0].op, BatchOp::View(..)) && kind == InputKind::Views;
     let stitches_before = linalg::input_stitches();
-    match run_coalesced(model.as_ref(), kind, &batch, f32_view) {
+    match guarded(&name, || run_coalesced(model.as_ref(), kind, &batch)) {
         Ok(embeddings) => {
             if view_batch && linalg::input_stitches() == stitches_before {
                 stats.lock().expect("engine stats lock").zero_copy_batches += 1;
@@ -827,11 +790,13 @@ fn execute_batch(
             }
         }
         Err(_) => {
-            // One bad (or transductive) request must not fail its neighbours: retry
-            // individually.
+            // One bad (or transductive, or panicking) request must not fail its
+            // neighbours: retry individually.
             stats.lock().expect("engine stats lock").fallbacks += 1;
             for pending in batch {
-                let result = run_single(model.as_ref(), pending.op, &pending.inputs, f32_view);
+                let result = guarded(&name, || {
+                    run_single(model.as_ref(), pending.op, &pending.inputs)
+                });
                 (pending.reply)(result);
             }
         }
@@ -911,7 +876,6 @@ fn run_coalesced(
     model: &dyn MultiViewModel,
     kind: InputKind,
     batch: &[Pending],
-    f32_view: Option<&ViewShadowF32>,
 ) -> Result<Vec<Matrix>> {
     let z = match batch[0].op {
         BatchOp::Transform => {
@@ -935,17 +899,11 @@ fn run_coalesced(
             }
             model.transform(&stitched)?
         }
-        BatchOp::View(which, _) => match kind {
+        BatchOp::View(which) => match kind {
             InputKind::Views => {
                 let cols = ColsView::from_matrices(batch.iter().map(|p| p.inputs.part(0)))
                     .map_err(|e| ServeError::Protocol(e.to_string()))?;
-                match f32_view {
-                    // The f32 fast path is zero-copy by the same construction
-                    // as the f64 one: the shadow's GEMM packs straight from the
-                    // borrowed request columns.
-                    Some(shadow) => run_view_f32(shadow, &cols)?,
-                    None => model.transform_view_cols(which, &cols)?,
-                }
+                model.transform_view_cols(which, &cols)?
             }
             InputKind::Kernels => model.transform_view(which, &stitch_view(kind, batch, 0)?)?,
         },
@@ -1146,42 +1104,6 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(err.to_string().contains("99"), "{err}");
-    }
-
-    #[test]
-    fn f32_precision_tracks_f64_within_tolerance_and_counts() {
-        let views = fixture_views();
-        let engine = engine_with("pca", "PCA", &views);
-        let baseline = engine.transform_view("pca", 0, views[0].clone()).unwrap();
-        let fast = engine
-            .transform_view_precision("pca", 0, views[0].clone(), Precision::F32)
-            .unwrap();
-        assert_eq!(
-            (fast.rows(), fast.cols()),
-            (baseline.rows(), baseline.cols())
-        );
-        // The documented contract of the f32 path: relative error within
-        // 4·k·ε₃₂ of the f64 answer (k = features of the view).
-        let tol = 4.0 * views[0].rows() as f64 * f64::from(f32::EPSILON);
-        for (a, b) in fast.as_slice().iter().zip(baseline.as_slice()) {
-            assert!(
-                (a - b).abs() <= tol * b.abs().max(1.0),
-                "f32 path drifted: {a} vs {b} (tol {tol})"
-            );
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.f32_transforms, 1, "only the F32 request counts");
-
-        // A model without a linear per-view projection silently serves the
-        // bit-exact f64 path on an F32 request — same answer, no counter.
-        let views2 = fixture_views();
-        let engine2 = engine_with("cat", "CAT", &views2);
-        let f64_z = engine2.transform_view("cat", 0, views2[0].clone()).unwrap();
-        let f32_z = engine2
-            .transform_view_precision("cat", 0, views2[0].clone(), Precision::F32)
-            .unwrap();
-        assert_eq!(f32_z, f64_z, "fallback must be bit-exact f64");
-        assert_eq!(engine2.stats().f32_transforms, 0);
     }
 
     #[test]

@@ -237,8 +237,7 @@ impl Client {
         embedding(self.call(request, 0)?)
     }
 
-    /// Project a single view through the model's per-view projection, at the
-    /// default `f64` precision.
+    /// Project a single view through the model's per-view projection.
     pub fn transform_view(&mut self, model: &str, view: usize, input: &Matrix) -> Result<Matrix> {
         let request = Request::TransformView {
             model: model.to_string(),

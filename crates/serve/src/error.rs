@@ -31,6 +31,14 @@ pub enum ServeError {
     /// The request's deadline passed before the work ran; the answer would have
     /// been dead on arrival, so it was never computed.
     DeadlineExceeded(String),
+    /// A model call panicked. The engine caught the unwind and answered in band;
+    /// it keeps serving. The same request would panic on any shard.
+    ModelPanicked {
+        /// Store name of the model whose call panicked.
+        model: String,
+        /// The panic message.
+        message: String,
+    },
 }
 
 /// How a failed request should be treated by a retrying caller (the router, or
@@ -47,8 +55,8 @@ pub enum ErrorClass {
     /// overload is not failure.
     Overload,
     /// Retrying cannot help: the request itself is bad (unknown model,
-    /// malformed input), the deadline already passed, or every alternative is
-    /// exhausted. Fail fast to the caller.
+    /// malformed input, a model that panics on it), the deadline already
+    /// passed, or every alternative is exhausted. Fail fast to the caller.
     Terminal,
 }
 
@@ -64,7 +72,8 @@ impl ServeError {
             | ServeError::Core(_)
             | ServeError::Remote(_)
             | ServeError::NoLiveShards
-            | ServeError::DeadlineExceeded(_) => ErrorClass::Terminal,
+            | ServeError::DeadlineExceeded(_)
+            | ServeError::ModelPanicked { .. } => ErrorClass::Terminal,
         }
     }
 
@@ -88,6 +97,9 @@ impl fmt::Display for ServeError {
             ServeError::NoLiveShards => write!(f, "no live shard can serve the request"),
             ServeError::Overloaded(msg) => write!(f, "overloaded: {msg}"),
             ServeError::DeadlineExceeded(msg) => write!(f, "deadline exceeded: {msg}"),
+            ServeError::ModelPanicked { model, message } => {
+                write!(f, "model {model:?} panicked: {message}")
+            }
         }
     }
 }
@@ -160,6 +172,10 @@ mod tests {
             ServeError::Remote("bad input".into()),
             ServeError::NoLiveShards,
             ServeError::DeadlineExceeded("late".into()),
+            ServeError::ModelPanicked {
+                model: "m".into(),
+                message: "boom".into(),
+            },
         ];
         for e in terminal {
             assert_eq!(e.class(), ErrorClass::Terminal, "{e}");

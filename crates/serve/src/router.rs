@@ -887,8 +887,6 @@ impl TransformService for Router {
                 inner.clone().io_pool.spawn(move || {
                     cb(with_remote_conn(&inner, &shard, |c| {
                         let budget = arm_deadline(c, deadline, inner.remote_timeout);
-                        // The precision opt-in survives the hop: the remote
-                        // shard decides f32 vs f64 from its own shadow cache.
                         let request = Request::TransformView {
                             model: model.clone(),
                             view: which as u32,

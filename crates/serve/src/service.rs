@@ -36,10 +36,8 @@ pub trait TransformService: Send + Sync {
         reply: ReplyCallback,
     );
 
-    /// Project a single view through the model's per-view projection.
-    /// `precision` is the opt-in: [`Precision::F32`] asks for the engine's
-    /// cached single-precision shadow of the factor matrices, falling back to
-    /// the bit-exact `f64` path when the model has none.
+    /// Project a single view through the model's per-view projection, in
+    /// `f64` ([`Precision`] has the one value `F64`).
     fn submit_transform_view(
         &self,
         model: &str,

@@ -338,7 +338,8 @@ fn client_loop(
                 Err(ServeError::Remote(_))
                 | Err(ServeError::UnknownModel { .. })
                 | Err(ServeError::Core(_))
-                | Err(ServeError::NoLiveShards) => tally.report.rejected_in_band += 1,
+                | Err(ServeError::NoLiveShards)
+                | Err(ServeError::ModelPanicked { .. }) => tally.report.rejected_in_band += 1,
                 Err(ServeError::Protocol(_)) => {
                     tally.report.protocol_violations += 1;
                     client = None; // resync on a fresh connection

@@ -13,7 +13,9 @@
 //! whose mtime/size/checksum changed get their header re-read and their cached
 //! payload dropped (the next request deserializes the new bytes), and entries whose
 //! backing file vanished are removed. Corrupt files encountered during a rescan are skipped
-//! — a live server must not die because someone half-copied a model in.
+//! — a live server must not die because someone half-copied a model in. An entry
+//! caches nothing but the deserialized model itself, so a reloaded file can never
+//! leave a value derived from its old weights behind.
 //!
 //! [`ModelStore::set_payload_budget`] bounds resident deserialized payload bytes:
 //! after every lazy load the least-recently-used disk-backed payloads are evicted
@@ -24,7 +26,6 @@
 
 use crate::wire::RescanReport;
 use crate::{Result, ServeError};
-use linalg::MatrixF32;
 use mvcore::{persist, EstimatorRegistry, ModelMeta, MultiViewModel};
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -35,50 +36,6 @@ use std::time::SystemTime;
 
 /// File extension of serialized models recognized by [`ModelStore::open`].
 pub const MODEL_EXTENSION: &str = "mvm";
-
-/// One view's single-precision copy of a model's linear projection: the factor
-/// matrix and optional mean shift narrowed to `f32` once at build time, so the
-/// opt-in `f32` serving path never converts per request.
-pub struct ViewShadowF32 {
-    /// The `d × r` projection weights, narrowed.
-    pub weights: MatrixF32,
-    /// Per-feature shift (length `d`), narrowed.
-    pub shift: Option<Vec<f32>>,
-}
-
-/// Cached `f32` shadow of a model's per-view projections, built lazily by
-/// [`ModelStore::f32_shadow`] from [`mvcore::MultiViewModel::view_projection`].
-/// Views whose transform is not a plain shifted projection (kernel methods,
-/// multi-candidate baselines) hold `None` and keep serving `f64`.
-///
-/// The shadow lives on the store entry, not the model: the authoritative `f64`
-/// factors on disk and in [`ModelStore::get`] are untouched, and a rescan that
-/// reloads a changed file replaces the entry — and with it the shadow — so a
-/// stale narrowing can never outlive the weights it was derived from.
-pub struct ModelShadowF32 {
-    views: Vec<Option<ViewShadowF32>>,
-}
-
-impl ModelShadowF32 {
-    /// The shadow for one view, when that view is a plain linear projection.
-    pub fn view(&self, which: usize) -> Option<&ViewShadowF32> {
-        self.views.get(which)?.as_ref()
-    }
-
-    /// Resident bytes of all narrowed factor matrices and shifts.
-    pub fn memory_bytes(&self) -> usize {
-        self.views
-            .iter()
-            .flatten()
-            .map(|v| {
-                v.weights.memory_bytes()
-                    + v.shift
-                        .as_ref()
-                        .map_or(0, |s| s.len() * std::mem::size_of::<f32>())
-            })
-            .sum()
-    }
-}
 
 /// One store entry: header metadata plus the lazily-loaded model.
 pub struct StoredModel {
@@ -92,10 +49,6 @@ pub struct StoredModel {
     /// Logical timestamp of the last [`ModelStore::get`], for LRU eviction.
     last_used: AtomicU64,
     model: Mutex<Option<Arc<dyn MultiViewModel>>>,
-    /// Lazily-built `f32` shadow of the model's per-view projections. Survives
-    /// payload eviction (the narrowing is still valid while the file is
-    /// unchanged); dropped wholesale when a rescan replaces the entry.
-    shadow: Mutex<Option<Arc<ModelShadowF32>>>,
 }
 
 impl StoredModel {
@@ -225,7 +178,6 @@ impl ModelStore {
             file_len: file_meta.len(),
             last_used: AtomicU64::new(0),
             model: Mutex::new(None),
-            shadow: Mutex::new(None),
         });
         self.entries
             .write()
@@ -255,7 +207,6 @@ impl ModelStore {
             file_len: 0,
             last_used: AtomicU64::new(0),
             model: Mutex::new(Some(Arc::from(model))),
-            shadow: Mutex::new(None),
         });
         self.entries
             .write()
@@ -331,34 +282,6 @@ impl ModelStore {
             self.enforce_budget(name);
         }
         Ok(model)
-    }
-
-    /// The cached `f32` shadow of a model's per-view projections, built on
-    /// first use from [`mvcore::MultiViewModel::view_projection`] (loading the
-    /// payload if needed). Every model yields a shadow object; views without a
-    /// plain linear projection hold `None` inside it, so callers fall back to
-    /// the `f64` path per view. The narrowing happens **once** per entry —
-    /// requests only read the cache.
-    pub fn f32_shadow(&self, name: &str) -> Result<Arc<ModelShadowF32>> {
-        let entry = self.entry(name)?;
-        if let Some(shadow) = entry.shadow.lock().expect("store shadow lock").as_ref() {
-            return Ok(Arc::clone(shadow));
-        }
-        // Build outside the shadow lock: `get` may deserialize a large payload,
-        // and a concurrent duplicate build is harmless (last writer wins with an
-        // identical value — the narrowing is deterministic).
-        let model = self.get(name)?;
-        let views = (0..model.num_views())
-            .map(|v| {
-                model.view_projection(v).map(|p| ViewShadowF32 {
-                    weights: MatrixF32::from_f64(p.weights),
-                    shift: p.shift.map(|s| s.iter().map(|&x| x as f32).collect()),
-                })
-            })
-            .collect();
-        let shadow = Arc::new(ModelShadowF32 { views });
-        *entry.shadow.lock().expect("store shadow lock") = Some(Arc::clone(&shadow));
-        Ok(shadow)
     }
 
     /// Bound the resident deserialized payload bytes (0 = unlimited). Applied after
@@ -745,50 +668,6 @@ mod tests {
         store.set_payload_budget(1);
         store.get("a").unwrap();
         assert!(store.entry("mem").unwrap().is_loaded());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn f32_shadow_is_built_once_and_dropped_on_reload() {
-        let dir = tmp_dir("shadow");
-        let views = fixture_views();
-        let registry = EstimatorRegistry::with_builtin();
-        let spec = FitSpec::with_rank(2).epsilon(1e-2).seed(5);
-        let pca = registry.fit("PCA", &views, &spec).unwrap();
-        let writer = ModelStore::new(EstimatorRegistry::with_builtin());
-        writer.save(&dir, "m", pca.as_ref()).unwrap();
-
-        let store = ModelStore::open(EstimatorRegistry::with_builtin(), &dir).unwrap();
-        let shadow = store.f32_shadow("m").unwrap();
-        let view = shadow.view(0).expect("PCA exposes a linear projection");
-        let proj = store.get("m").unwrap();
-        let proj = proj.view_projection(0).unwrap();
-        assert_eq!(view.weights.shape(), proj.weights.shape());
-        assert_eq!(
-            view.weights.as_slice()[0],
-            proj.weights.as_slice()[0] as f32
-        );
-        assert!(shadow.memory_bytes() > 0);
-        // Cached: the same Arc comes back.
-        assert!(Arc::ptr_eq(&shadow, &store.f32_shadow("m").unwrap()));
-
-        // A reload (changed file) replaces the entry, and with it the shadow.
-        let other = registry
-            .fit("PCA", &fixture_views(), &spec.clone().seed(6))
-            .unwrap();
-        writer.save(&dir, "m", other.as_ref()).unwrap();
-        store.rescan().unwrap();
-        let fresh = store.f32_shadow("m").unwrap();
-        assert!(
-            !Arc::ptr_eq(&shadow, &fresh),
-            "stale shadow must not survive"
-        );
-
-        // A multi-candidate model yields a shadow whose views are all None.
-        let cat = registry.fit("CCA (BST)", &views, &spec).unwrap();
-        store.insert("pairwise", cat);
-        let none = store.f32_shadow("pairwise").unwrap();
-        assert!((0..4).all(|v| none.view(v).is_none()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,7 +34,7 @@
 //! | 2 | `ListModels` | — |
 //! | 3 | `Ping` | — |
 //! | 4 | `Outputs` | name, `u32` input count, matrices |
-//! | 5 | `TransformView` | name, `u32` view index, `u8` [`Precision`] (0 = f64, 1 = f32), one matrix |
+//! | 5 | `TransformView` | name, `u32` view index, `u8` [`Precision`] (0 = f64, the only value), one matrix |
 //! | 6 | `Rescan` | — |
 //! | 7 | `Stats` | — |
 //! | 8 | `Refit` | — |
@@ -58,6 +58,10 @@
 //! | 9 | `Cluster` | `u32` count, then per shard: `u64` id, label, `u8` flags (bit 0 alive, bit 1 draining), `u64` in-flight, `u64` routed |
 //! | 16 | `Tagged` | `u64` request id, then the inner response |
 //!
+//! A `TransformView` is projected in `f64` and its embedding returned bit-exact;
+//! any precision byte other than 0 is answered `Error` (`unknown transform
+//! precision`).
+//!
 //! Rejection is **in-band and typed**: a request shed by admission control (a
 //! full queue, a per-model cap, a per-connection in-flight cap) is answered
 //! with `Overloaded`, so callers can tell *retry elsewhere* from *the request
@@ -76,20 +80,13 @@ pub const MAX_FRAME_LEN: u32 = 1 << 30;
 /// Opcode of the `Tagged` envelope (shared by requests and responses).
 pub const TAGGED_OPCODE: u8 = 16;
 
-/// Arithmetic precision a `TransformView` request asks the engine to compute in.
-/// Inputs and replies are `f64` on the wire either way; `F32` routes the
-/// projection through the engine's cached single-precision shadow of the factor
-/// matrices — roughly half the memory traffic, bounded relative error (see
-/// `linalg::ColsView::shifted_t_matmul_f32`) — when the model exposes one, and
-/// falls back to the bit-exact `f64` path when it does not.
+/// The precision byte of a `TransformView` request. It has one value: the
+/// projection runs in `f64`, bit-exact against the in-process transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
-    /// Full double precision — the default, bit-exact against the in-process
-    /// transform.
+    /// Full double precision (wire byte 0).
     #[default]
     F64 = 0,
-    /// Opt-in single-precision compute path.
-    F32 = 1,
 }
 
 /// A request from client to server.
@@ -125,7 +122,7 @@ pub enum Request {
         view: u32,
         /// The view matrix (features × instances, or a kernel block).
         input: Matrix,
-        /// Requested compute precision.
+        /// The precision byte; always [`Precision::F64`].
         precision: Precision,
     },
     /// Re-scan the server's model directory for new/changed/removed `.mvm` files.
@@ -496,7 +493,6 @@ impl Request {
                 let view = c.u32("view index")?;
                 let precision = match c.u8("transform precision")? {
                     0 => Precision::F64,
-                    1 => Precision::F32,
                     p => {
                         return Err(ServeError::Protocol(format!(
                             "unknown transform precision {p}"
@@ -845,12 +841,6 @@ mod tests {
                 input: sample_matrix(),
                 precision: Precision::F64,
             },
-            Request::TransformView {
-                model: "cca-ls".into(),
-                view: 2,
-                input: sample_matrix(),
-                precision: Precision::F32,
-            },
             Request::Rescan,
             Request::Stats,
             Request::Refit,
@@ -918,13 +908,19 @@ mod tests {
 
     #[test]
     fn unknown_precision_byte_is_a_protocol_error() {
-        let mut payload = vec![5u8];
-        push_str(&mut payload, "m");
-        push_u32(&mut payload, 0);
-        payload.push(9); // not a precision
-        push_matrix(&mut payload, &sample_matrix());
-        let err = Request::decode(&payload).unwrap_err();
-        assert!(err.to_string().contains("unknown transform precision"));
+        // 1 was the retired f32 path; 9 never meant anything.
+        for byte in [1u8, 9] {
+            let mut payload = vec![5u8];
+            push_str(&mut payload, "m");
+            push_u32(&mut payload, 0);
+            payload.push(byte);
+            push_matrix(&mut payload, &sample_matrix());
+            let err = Request::decode(&payload).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown transform precision"),
+                "byte {byte}: {err}"
+            );
+        }
     }
 
     #[test]

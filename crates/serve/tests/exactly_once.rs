@@ -4,7 +4,10 @@
 
 use linalg::Matrix;
 use mvcore::{CoreError, EstimatorRegistry, FitSpec, MemoryModel, ModelState, MultiViewModel};
-use serve::{BatchConfig, Client, ModelStore, ServeError, Server};
+use serve::{
+    BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, RouterBuilder, RouterConfig,
+    ServeError, Server, TransformService,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,7 +87,10 @@ fn panicking_model_gets_an_in_band_error_and_the_connection_survives() {
     client.set_op_timeout(Some(op_timeout));
     let started = Instant::now();
     match client.transform("boom", &views) {
-        Err(ServeError::Remote(msg)) => assert!(msg.contains("without a reply"), "{msg}"),
+        Err(ServeError::Remote(msg)) => assert!(
+            msg.contains(r#"model "boom" panicked: injected transform panic"#),
+            "{msg}"
+        ),
         other => panic!("expected an in-band error, got {other:?}"),
     }
     assert!(started.elapsed() < op_timeout);
@@ -92,6 +98,104 @@ fn panicking_model_gets_an_in_band_error_and_the_connection_survives() {
     client.ping().unwrap();
     assert_eq!(client.transform("pca", &views).unwrap().rows(), 24);
     stop();
+}
+
+/// The engine's answer to a call into the panicking model.
+fn assert_panic_reply<T: std::fmt::Debug>(result: serve::Result<T>, call: &str) {
+    match result {
+        Err(e @ ServeError::ModelPanicked { .. }) => {
+            assert_eq!(e.class(), ErrorClass::Terminal);
+            let msg = e.to_string();
+            assert!(
+                msg.contains(r#"model "boom" panicked: injected"#),
+                "{call}: {msg}"
+            );
+        }
+        other => panic!("{call}: expected ModelPanicked, got {other:?}"),
+    }
+}
+
+#[test]
+fn blocking_engine_calls_return_the_panic_not_engine_stopped() {
+    let views = fixture_views();
+    let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
+    store.insert("boom", Box::new(Panicking(fit_pca(&views))));
+    let engine = BatchEngine::start(
+        store,
+        BatchConfig {
+            max_batch: 1024,
+            max_wait: Duration::from_millis(50),
+            ..BatchConfig::default()
+        },
+    );
+    // Singleton batches, one per op.
+    assert_panic_reply(engine.transform("boom", views.clone()), "transform");
+    assert_panic_reply(
+        engine.transform_view("boom", 0, views[0].clone()),
+        "transform_view",
+    );
+    assert_panic_reply(engine.outputs("boom", views.clone()), "outputs");
+
+    // A coalesced batch panics, and so does every member's fallback call: each
+    // member still gets its own reply.
+    let fallbacks = engine.stats().fallbacks;
+    let (tx, rx) = std::sync::mpsc::channel();
+    for _ in 0..3 {
+        let tx = tx.clone();
+        engine.submit_transform(
+            "boom",
+            Arc::new(views.clone()),
+            None,
+            Box::new(move |r| drop(tx.send(r))),
+        );
+    }
+    drop(tx);
+    let replies: Vec<_> = rx.iter().collect();
+    assert_eq!(replies.len(), 3, "every member gets exactly one reply");
+    for r in replies {
+        assert_panic_reply(r, "coalesced transform");
+    }
+    assert!(engine.stats().fallbacks > fallbacks);
+    assert!(!engine.is_stopped());
+}
+
+#[test]
+fn a_panic_behind_a_router_is_terminal_and_releases_the_shard() {
+    let views = fixture_views();
+    let shard_store = || {
+        let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
+        store.insert("boom", Box::new(Panicking(fit_pca(&views))));
+        store
+    };
+    let config = RouterConfig::default();
+    let drain_timeout = config.drain_timeout;
+    let router = RouterBuilder::new(config)
+        .local_shard(shard_store(), BatchConfig::default())
+        .local_shard(shard_store(), BatchConfig::default())
+        .build();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    router.submit_transform(
+        "boom",
+        Arc::new(views.clone()),
+        None,
+        Box::new(move |r| drop(tx.send(r))),
+    );
+    let reply = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the router must call the reply callback");
+    assert_panic_reply(reply, "routed transform");
+
+    // Terminal: no failover, nobody marked dead, nothing left in flight.
+    assert_eq!(router.stats().failovers, 0);
+    assert_eq!(router.live_shards().len(), 2);
+    for shard in router.shards() {
+        assert_eq!(shard.inflight(), 0, "shard {}", shard.label());
+    }
+    // So draining a shard does not wait out the drain timeout.
+    let started = Instant::now();
+    router.remove_shard(0).unwrap();
+    assert!(started.elapsed() < drain_timeout / 2);
 }
 
 #[test]
