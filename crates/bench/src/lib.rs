@@ -21,8 +21,9 @@
 //! mean ± std over seeds); [`memcost`] re-exports the allocation model that now lives
 //! in `mvcore`.
 //!
-//! Criterion micro-benchmarks (`benches/`) cover the tensor decompositions, the
-//! whitening step, end-to-end fits and the kernel pipeline.
+//! The `kernel_bench` binary times the hot kernels (covariance-tensor build,
+//! whitening, the decomposition solvers); the `fig7`–`fig10` subcommands time
+//! end-to-end fits.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,18 +1,17 @@
 //! `tcca_serve` — serve fitted multi-view models over TCP, or embed offline.
 //!
 //! ```text
-//! tcca_serve serve   --models DIR [--addr HOST:PORT] [--reactor poll|epoll]
+//! tcca_serve serve   --models DIR [--addr HOST:PORT]
 //!                    [--max-batch N] [--max-wait-ms M]
 //!                    [--max-queue N] [--max-per-model N]
 //!                    [--rescan-ms MS] [--payload-budget-mb MB]
 //!                    [--train MODEL] [--train-interval-ms MS] [--train-reservoir N]
 //!                    [--train-rank R] [--train-seed S] [--train-history true]
 //! tcca_serve route   [--models DIR --shards N] [--shard ADDR ...] [--addr HOST:PORT]
-//!                    [--reactor poll|epoll] [--replication R] [--max-batch N]
+//!                    [--replication R] [--max-batch N]
 //!                    [--max-wait-ms M] [--max-queue N] [--max-per-model N]
 //! tcca_serve cluster --addr HOST:PORT [--add ADDR ...] [--remove ID ...]
 //! tcca_serve bench   [--clients N] [--requests N] [--shards N] [--models N] [--out FILE]
-//! tcca_serve reactor-bench [--conns N ...] [--wakeups N] [--out FILE]
 //! tcca_serve soak    [--seed S] [--clients N] [--models N] [--local-shards N]
 //!                    [--remote-shards N] [--phase-ms MS]
 //!                    [--deadline-ms MS] [--max-queue N] [--max-per-model N]
@@ -36,18 +35,12 @@
 //!   fail over when a shard dies. Prints one `shard N: LABEL` line per shard, then
 //!   `listening on ADDR`. The shard set is **live**: `cluster --add/--remove` (or
 //!   the control-plane wire ops) admits and drains shards at runtime.
-//! * `--reactor` (on `serve` and `route`) pins the event loop's readiness backend
-//!   (`poll` or `epoll`); unset, the `TCCA_REACTOR` environment variable and then
-//!   the platform default (epoll on Linux) decide.
 //! * `cluster` talks the control-plane ops to a live router-backed server: each
 //!   `--add ADDR` admits a validated remote shard, each `--remove ID` drains and
 //!   removes one, then the final membership table prints.
 //! * `bench` measures loopback throughput: a single-process server vs a local
 //!   `--shards`-way router under the same many-client small-request workload, plus
 //!   the batched `transform_view` path vs full `transform`. Emits JSON.
-//! * `reactor-bench` measures per-wakeup cost against idle-connection count for
-//!   both reactor backends (the poll(2) loop scans every parked socket per wakeup;
-//!   epoll stays O(ready)). Emits JSON for the CI perf artifact.
 //! * `soak` runs the seeded chaos harness (`serve::soak`): a sharded tier under
 //!   Zipf/bursty traffic with a mid-run shard crash, injected link faults, rescan
 //!   churn and eviction pressure. Emits JSON (phase metrics + counters + the fault
@@ -74,8 +67,8 @@
 use linalg::Matrix;
 use mvcore::{EstimatorRegistry, FitSpec, MultiViewModel};
 use serve::{
-    BatchConfig, Client, ModelStore, ReactorKind, Router, RouterBuilder, RouterConfig, Server,
-    ServerTuning, TrainerConfig, TrainerService,
+    BatchConfig, Client, ModelStore, Router, RouterBuilder, RouterConfig, Server, TrainerConfig,
+    TrainerService,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -90,7 +83,6 @@ fn main() -> ExitCode {
         Some("route") => cmd_route(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
-        Some("reactor-bench") => cmd_reactor_bench(&args[1..]),
         Some("soak") => cmd_soak(&args[1..]),
         Some("embed") => cmd_embed(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
@@ -112,18 +104,17 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  tcca_serve serve   --models DIR [--addr HOST:PORT] [--reactor poll|epoll]
+  tcca_serve serve   --models DIR [--addr HOST:PORT]
                      [--max-batch N] [--max-wait-ms M]
                      [--max-queue N] [--max-per-model N]
                      [--rescan-ms MS] [--payload-budget-mb MB]
                      [--train MODEL] [--train-interval-ms MS] [--train-reservoir N]
                      [--train-rank R] [--train-seed S] [--train-history true]
   tcca_serve route   [--models DIR --shards N] [--shard ADDR ...] [--addr HOST:PORT]
-                     [--reactor poll|epoll] [--replication R] [--max-batch N]
+                     [--replication R] [--max-batch N]
                      [--max-wait-ms M] [--max-queue N] [--max-per-model N]
   tcca_serve cluster --addr HOST:PORT [--add ADDR ...] [--remove ID ...]
   tcca_serve bench   [--clients N] [--requests N] [--shards N] [--models N] [--out FILE]
-  tcca_serve reactor-bench [--conns N ...] [--wakeups N] [--out FILE]
   tcca_serve soak    [--seed S] [--clients N] [--models N] [--local-shards N]
                      [--remote-shards N] [--phase-ms MS]
                      [--deadline-ms MS] [--max-queue N] [--max-per-model N]
@@ -132,16 +123,6 @@ const USAGE: &str = "usage:
   tcca_serve inspect --model FILE
   tcca_serve stats   --addr HOST:PORT [--refit true]
   tcca_serve demo    --out DIR [--method NAME] [--instances N] [--rank R]";
-
-/// Parse the optional `--reactor poll|epoll` flag into a tuning override.
-fn reactor_flag(flags: &Flags) -> Result<Option<ReactorKind>, String> {
-    match flags.get("reactor") {
-        None => Ok(None),
-        Some(v) => ReactorKind::parse(v)
-            .map(Some)
-            .ok_or_else(|| format!("--reactor takes poll or epoll, got {v:?}")),
-    }
-}
 
 /// Parse the shared `--max-batch/--max-wait-ms/--max-queue/--max-per-model`
 /// engine flags on top of the defaults.
@@ -242,10 +223,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("spawning the rescan thread: {e}"))?;
     }
     let names = store.names();
-    let tuning = ServerTuning {
-        reactor: reactor_flag(&flags)?,
-        ..ServerTuning::default()
-    };
     // Opt-in live refresh: wrap the engine in a trainer watching one model.
     let server = if let Some(train_model) = flags.get("train") {
         let spec = FitSpec::with_rank(flags.parsed("train-rank", 2usize)?)
@@ -262,14 +239,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             PathBuf::from(dir),
             trainer_config,
         ));
-        Server::bind_service_tuned(addr, trainer as Arc<dyn serve::TransformService>, tuning)
+        Server::bind_service(addr, trainer as Arc<dyn serve::TransformService>)
     } else {
-        Server::bind_tuned(addr, store, config, tuning)
+        Server::bind(addr, store, config)
     }
     .map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     println!("serving {} model(s): {}", names.len(), names.join(", "));
-    println!("reactor: {}", server.backend().name());
     println!("listening on {bound}");
     std::io::stdout().flush().ok();
     server.run().map_err(|e| e.to_string())
@@ -306,14 +282,9 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     for shard in router.shards().iter() {
         println!("shard {}: {}", shard.id(), shard.label());
     }
-    let tuning = ServerTuning {
-        reactor: reactor_flag(&flags)?,
-        ..ServerTuning::default()
-    };
-    let server = Server::bind_service_tuned(addr, Arc::clone(&router) as _, tuning)
+    let server = Server::bind_service(addr, Arc::clone(&router) as _)
         .map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    println!("reactor: {}", server.backend().name());
     println!("listening on {bound}");
     std::io::stdout().flush().ok();
     server.run().map_err(|e| e.to_string())
@@ -584,146 +555,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         None => println!("{json}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
-/// Raise the soft open-file limit toward the hard limit so the idle-connection
-/// scaling bench can hold thousands of sockets. Best-effort: a failure leaves
-/// the limit unchanged and the bench degrades to whatever fits.
-fn raise_nofile_limit() {
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    unsafe extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
-    }
-    unsafe {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        if getrlimit(RLIMIT_NOFILE, &mut lim) == 0 && lim.cur < lim.max {
-            lim.cur = lim.max;
-            let _ = setrlimit(RLIMIT_NOFILE, &lim);
-        }
-    }
-}
-
-/// Measure per-wakeup reactor cost as a function of idle-connection count.
-///
-/// For each backend and each `--conns` value, registers that many idle
-/// loopback connections plus one active pair, then times a poke → wait →
-/// drain cycle on the active connection. poll(2) rescans every registration
-/// per wakeup so its cost grows with the idle count; epoll(7) should stay
-/// flat. Emits the same JSON shape the perf CI artifact collects.
-fn cmd_reactor_bench(args: &[String]) -> Result<(), String> {
-    use serve::reactor::{self, Event, Interest, ReactorKind};
-    use std::io::Read as _;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-
-    let flags = Flags::parse(args)?;
-    let mut conn_counts: Vec<usize> = flags
-        .all("conns")
-        .iter()
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--conns takes a number, got {v:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    if conn_counts.is_empty() {
-        conn_counts = vec![64, 4096];
-    }
-    let wakeups: usize = flags.parsed("wakeups", 2000)?;
-    raise_nofile_limit();
-
-    let mut backends = vec![ReactorKind::Poll];
-    if cfg!(target_os = "linux") {
-        backends.push(ReactorKind::Epoll);
-    }
-
-    let mut rows = Vec::new();
-    for &kind in &backends {
-        for &idle in &conn_counts {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-            let addr = listener.local_addr().map_err(|e| e.to_string())?;
-            let mut reactor =
-                reactor::new_reactor(kind).map_err(|e| format!("{} reactor: {e}", kind.name()))?;
-
-            // Idle registrations: both ends kept open, read interest, never poked.
-            let mut idle_conns: Vec<(TcpStream, TcpStream)> = Vec::with_capacity(idle);
-            for i in 0..idle {
-                let peer = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-                let (server_side, _) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-                server_side
-                    .set_nonblocking(true)
-                    .map_err(|e| e.to_string())?;
-                reactor
-                    .register(server_side.as_raw_fd(), i as u64, Interest::READ)
-                    .map_err(|e| format!("register: {e}"))?;
-                idle_conns.push((server_side, peer));
-            }
-
-            // The active pair the timed loop pokes.
-            let mut active_peer = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-            let (mut active, _) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-            active.set_nonblocking(true).map_err(|e| e.to_string())?;
-            let active_token = u64::MAX - 2;
-            reactor
-                .register(active.as_raw_fd(), active_token, Interest::READ)
-                .map_err(|e| format!("register: {e}"))?;
-
-            let mut events: Vec<Event> = Vec::new();
-            let mut byte = [0u8; 8];
-            let start = Instant::now();
-            for _ in 0..wakeups {
-                active_peer.write_all(&[1]).map_err(|e| e.to_string())?;
-                loop {
-                    reactor
-                        .wait(&mut events, 1000)
-                        .map_err(|e| format!("wait: {e}"))?;
-                    if events.iter().any(|e| e.token == active_token) {
-                        break;
-                    }
-                }
-                // Drain so level-triggered readiness clears before the next poke.
-                while matches!(active.read(&mut byte), Ok(n) if n > 0) {}
-            }
-            let ns_per_wakeup = start.elapsed().as_nanos() as f64 / wakeups as f64;
-            println!(
-                "{:<6} idle {:>5}: {:>10.0} ns/wakeup",
-                kind.name(),
-                idle,
-                ns_per_wakeup
-            );
-            rows.push(format!(
-                "{{\"backend\": \"{}\", \"idle_conns\": {}, \"ns_per_wakeup\": {:.0}}}",
-                kind.name(),
-                idle,
-                ns_per_wakeup
-            ));
-            reactor
-                .deregister(active.as_raw_fd())
-                .map_err(|e| e.to_string())?;
-            for (server_side, _) in &idle_conns {
-                reactor
-                    .deregister(server_side.as_raw_fd())
-                    .map_err(|e| e.to_string())?;
-            }
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"wakeups_per_point\": {wakeups},\n  \"reactor_wakeup\": [\n    {}\n  ]\n}}",
-        rows.join(",\n    ")
-    );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?
-        }
-        None => println!("{json}"),
-    }
     Ok(())
 }
 

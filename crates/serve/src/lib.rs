@@ -19,8 +19,7 @@
 //!   rendezvous-hash placement by model name with a replicated hot set, and
 //!   mid-request failover when a shard dies.
 //! * [`Server`] / [`Client`] — an event-loop TCP server multiplexing all sockets
-//!   on a pluggable readiness [`reactor`] (epoll(7) on Linux, poll(2) as the
-//!   fallback, selected at runtime), speaking the length-prefixed frame
+//!   on one poll(2) readiness loop, speaking the length-prefixed frame
 //!   protocol of [`wire`]: every request travels in one tagged envelope (id plus
 //!   deadline budget) and is answered exactly once under its id, possibly out of
 //!   request order. The `tcca_serve` binary also offers one-shot CLI modes for
@@ -35,7 +34,7 @@
 //! layer ([`faults`]) plus the `tcca_serve soak` chaos harness prove the whole
 //! thing under seeded, replayable failure schedules.
 //!
-//! The crate is unix-only: the event loop runs on poll(2)/epoll(7).
+//! The crate is unix-only: the event loop runs on poll(2).
 //!
 //! ```no_run
 //! use mvcore::EstimatorRegistry;
@@ -54,13 +53,13 @@
 #![warn(clippy::all)]
 
 #[cfg(not(unix))]
-compile_error!("tcca-serve is unix-only: its event loop runs on poll(2)/epoll(7)");
+compile_error!("tcca-serve is unix-only: its event loop runs on poll(2)");
 
 mod batch;
 mod client;
 mod error;
 pub mod faults;
-pub mod reactor;
+mod reactor;
 mod router;
 mod server;
 mod service;

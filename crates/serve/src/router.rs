@@ -252,6 +252,9 @@ struct Inner {
     retry_base: Duration,
     retry_max: Duration,
     retry_seed: u64,
+    /// Retries each shard's bucket starts with ([`RouterConfig::retry_budget`]),
+    /// for built and admitted shards alike.
+    retry_budget: u32,
     /// Sequence counter feeding the deterministic backoff jitter.
     backoff_seq: AtomicU64,
     /// Executes blocking remote-shard I/O so callers (the event loop!) never wait
@@ -431,6 +434,7 @@ impl RouterBuilder {
             retry_base: self.config.retry_base,
             retry_max: self.config.retry_max.max(self.config.retry_base),
             retry_seed: self.config.retry_seed,
+            retry_budget,
             backoff_seq: AtomicU64::new(0),
             // Remote calls block a worker each; size for every shard making
             // progress concurrently plus failover headroom.
@@ -1076,15 +1080,7 @@ impl TransformService for Router {
             alive: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
-            retry: RetryBudget::new({
-                // Match the budget the built shards got: reconstruct from any
-                // existing shard's cap, falling back to the config default.
-                let snapshot = self.inner.snapshot();
-                snapshot
-                    .first()
-                    .map(|s| (s.retry.max / RetryBudget::RETRY_COST) as u32)
-                    .unwrap_or(RouterConfig::default().retry_budget)
-            }),
+            retry: RetryBudget::new(self.inner.retry_budget),
         });
         self.inner
             .shards
@@ -1533,6 +1529,40 @@ mod tests {
         assert!(is_shard_failure(&err), "expected the raw failure: {err}");
         assert!(router.stats().retries_denied >= 1);
         assert_eq!(router.stats().failovers, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_admitted_shard_gets_the_configured_retry_budget() {
+        let views = fixture_views();
+        let dir = tmp_models_dir("admit-budget", &views, &["m"]);
+        let router = Router::open_local(
+            &dir,
+            1,
+            BatchConfig::default(),
+            RouterConfig {
+                retry_budget: 2,
+                probe_interval: Duration::ZERO,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let store = Arc::new(ModelStore::open(EstimatorRegistry::with_builtin(), &dir).unwrap());
+        let server = crate::Server::bind("127.0.0.1:0", store, BatchConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let shutdown = server.shutdown_handle();
+        let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+        // With the built shard gone, nothing in the table still carries the
+        // configured cap: the admitted shard must get it from the config.
+        router.remove_shard(0).unwrap();
+        router.add_shard(&addr).unwrap();
+        let shards = router.shards();
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].retry.max, 2 * RetryBudget::RETRY_COST);
+
+        shutdown.shutdown();
+        server_thread.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,10 @@
-//! The TCP front of the serving stack: a reactor-based event loop.
+//! The TCP front of the serving stack: a poll(2) event loop.
 //!
 //! One thread owns every socket. The loop multiplexes the listener and all
-//! client connections through nonblocking readiness on a pluggable
-//! [`Reactor`](crate::reactor::Reactor) — epoll(7) on Linux by default, the
-//! poll(2) backend as fallback, selected at runtime via
-//! [`ServerTuning::reactor`] or the `TCCA_REACTOR` environment variable.
-//! Registrations are persistent: interest is modified only when a connection's
-//! state changes (backpressure, pending writes, closing), so an epoll wakeup
-//! costs O(ready events) no matter how many idle connections are parked.
+//! client connections through nonblocking, level-triggered readiness on one
+//! poll(2) reactor. Each connection's interest is diffed against what the
+//! reactor holds and modified only when the connection's state changes
+//! (backpressure, pending writes, closing).
 //!
 //! Every request arrives in the tagged envelope (see [`crate::wire`]) and is
 //! answered exactly once under its id. Nothing slow runs on the loop. Transform
@@ -20,7 +17,8 @@
 //! drain-before-remove that waits for in-flight work, can never stall
 //! transform traffic. Only `Ping` is answered inline. The callback is a guard:
 //! a service that drops it uncalled (a model panicked and unwound its batch)
-//! still answers the request, with an in-band [`Response::Error`]. A
+//! still answers the request, with an in-band [`Response::Error`]; so does a
+//! control op that panics, and the control thread goes on serving. A
 //! connection that half-closes after sending requests stays alive until every
 //! owed reply has been written.
 //!
@@ -30,10 +28,10 @@
 //! declared length, EOF mid frame) close the connection — after an error reply
 //! is flushed where possible.
 
-use crate::reactor::{self, Event, Interest, Reactor, Waker};
+use crate::reactor::{Event, Interest, PollReactor, Waker};
 use crate::service::TransformService;
 use crate::wire::{Request, Response, MAX_FRAME_LEN};
-use crate::{BatchConfig, BatchEngine, ModelStore, ReactorKind, Result, ServeError};
+use crate::{BatchConfig, BatchEngine, ModelStore, Result, ServeError};
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -49,8 +47,8 @@ const MAX_CONNS: usize = 4096;
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Bytes read per readiness event per socket before yielding back to the loop, so
-/// one firehose connection cannot starve its neighbours (both reactor backends
-/// are level-triggered: leftover bytes re-report readiness on the next pass).
+/// one firehose connection cannot starve its neighbours (the reactor is
+/// level-triggered: leftover bytes re-report readiness on the next pass).
 const READ_BUDGET: usize = 4 * READ_CHUNK;
 
 /// Write-buffer high-water mark: while a connection has this many unflushed reply
@@ -80,10 +78,6 @@ pub struct ServerTuning {
     /// of being submitted — bounding per-connection queue memory no matter how
     /// aggressively a client pipelines.
     pub max_inflight_per_conn: usize,
-    /// Readiness backend override. `None` resolves the `TCCA_REACTOR`
-    /// environment variable, then the platform default (epoll on Linux, poll
-    /// elsewhere).
-    pub reactor: Option<ReactorKind>,
 }
 
 impl Default for ServerTuning {
@@ -91,7 +85,6 @@ impl Default for ServerTuning {
         Self {
             wbuf_high_water: WBUF_HIGH_WATER,
             max_inflight_per_conn: MAX_INFLIGHT_PER_CONN,
-            reactor: None,
         }
     }
 }
@@ -225,12 +218,15 @@ impl ControlQueue {
                     st = self.cv.wait(st).expect("control queue lock");
                 }
             };
-            job();
+            // A panicking op answers its own request through its `Reply`
+            // guard as it unwinds; catching the unwind keeps this thread
+            // alive for every later control op. The job holds no lock here.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         }
     }
 }
 
-/// A bound serving endpoint running a reactor-based event loop.
+/// A bound serving endpoint running a poll(2) event loop.
 pub struct Server {
     listener: TcpListener,
     service: Arc<dyn TransformService>,
@@ -248,9 +244,8 @@ pub struct Server {
     wakeups: AtomicU64,
     /// Readiness events delivered across all wakeups.
     loop_events: AtomicU64,
-    backend: ReactorKind,
     /// The reactor, parked here between bind and run (`run` takes it).
-    reactor: Mutex<Option<Box<dyn Reactor>>>,
+    reactor: Mutex<Option<PollReactor>>,
 }
 
 impl Server {
@@ -264,8 +259,7 @@ impl Server {
         Self::bind_tuned(addr, store, config, ServerTuning::default())
     }
 
-    /// [`Server::bind`] with explicit per-connection limits and reactor backend
-    /// choice.
+    /// [`Server::bind`] with explicit per-connection limits.
     pub fn bind_tuned(
         addr: impl ToSocketAddrs,
         store: Arc<ModelStore>,
@@ -291,15 +285,14 @@ impl Server {
         Self::bind_service_tuned(addr, service, ServerTuning::default())
     }
 
-    /// [`Server::bind_service`] with explicit per-connection limits and reactor
-    /// backend choice.
+    /// [`Server::bind_service`] with explicit per-connection limits.
     pub fn bind_service_tuned(
         addr: impl ToSocketAddrs,
         service: Arc<dyn TransformService>,
         tuning: ServerTuning,
     ) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        let reactor = reactor::new_reactor(ReactorKind::resolve(tuning.reactor))?;
+        let reactor = PollReactor::new()?;
         Ok(Self {
             listener,
             service,
@@ -315,14 +308,8 @@ impl Server {
             shed_inflight: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             loop_events: AtomicU64::new(0),
-            backend: reactor.kind(),
             reactor: Mutex::new(Some(reactor)),
         })
-    }
-
-    /// Which readiness backend this server's event loop runs on.
-    pub fn backend(&self) -> ReactorKind {
-        self.backend
     }
 
     /// This front's own counters (merged over the service's by `Stats`).
@@ -330,7 +317,6 @@ impl Server {
         let wakeups = self.wakeups.load(Ordering::Relaxed);
         let events = self.loop_events.load(Ordering::Relaxed);
         vec![
-            ("server/backend".into(), self.backend.id()),
             (
                 "server/throttled".into(),
                 self.throttled.load(Ordering::Relaxed),
@@ -389,7 +375,7 @@ impl Server {
             .spawn(move || control.run())
             .map_err(ServeError::Io)?;
 
-        let result = self.event_loop(reactor.as_mut());
+        let result = self.event_loop(&mut reactor);
         self.control.stop();
         let _ = worker.join();
         result
@@ -482,11 +468,6 @@ impl Server {
                 let own = self.own_counters();
                 self.control(reply, move |s| {
                     let mut counters = s.stats();
-                    // `server/backend` is an id, not a count: summing it across
-                    // layered servers (a front over remote shards, each
-                    // reporting its own loop) would scramble it. This front's
-                    // value wins; query a shard directly for its backend.
-                    counters.retain(|(name, _)| name != "server/backend");
                     merge_counters(&mut counters, own);
                     Ok(Response::Stats(counters))
                 })
@@ -529,7 +510,7 @@ struct Conn {
     /// Slot generation: completions for a previous tenant of this slot are dropped.
     gen: u64,
     /// The interest currently registered with the reactor (diffed each pass so
-    /// unchanged connections cost no `modify` syscall).
+    /// unchanged connections cost no `modify`, which scans the registrations).
     interest: Interest,
     /// Received, not yet parsed bytes.
     rbuf: Vec<u8>,
@@ -585,7 +566,7 @@ impl Conn {
 }
 
 impl Server {
-    fn event_loop(&self, reactor: &mut dyn Reactor) -> Result<()> {
+    fn event_loop(&self, reactor: &mut PollReactor) -> Result<()> {
         use std::os::unix::io::AsRawFd;
 
         self.listener.set_nonblocking(true)?;
@@ -627,8 +608,7 @@ impl Server {
             self.reap(reactor, &mut conns);
 
             // 3. Interest maintenance: diff each connection's desired interest
-            //    against what the reactor has, and modify only on change — idle
-            //    connections cost nothing here and nothing in the kernel (epoll).
+            //    against what the reactor has, and modify only on change.
             let mut live = 0usize;
             for (slot, conn) in conns.iter_mut().enumerate() {
                 let Some(conn) = conn else { continue };
@@ -699,7 +679,7 @@ impl Server {
     /// with the reactor under its slot token.
     fn accept_ready(
         &self,
-        reactor: &mut dyn Reactor,
+        reactor: &mut PollReactor,
         conns: &mut Vec<Option<Conn>>,
         next_gen: &mut u64,
     ) {
@@ -757,7 +737,7 @@ impl Server {
     /// Drop connections that are dead, or closing with nothing left to flush and
     /// no replies still owed (a half-closed peer is still waiting to read them).
     /// Deregisters each reaped socket before closing it.
-    fn reap(&self, reactor: &mut dyn Reactor, conns: &mut [Option<Conn>]) {
+    fn reap(&self, reactor: &mut PollReactor, conns: &mut [Option<Conn>]) {
         use std::os::unix::io::AsRawFd;
         for conn in conns.iter_mut() {
             let drop_it = match conn {
@@ -876,10 +856,6 @@ mod tests {
     }
 
     fn bound_server(store: Arc<ModelStore>) -> (Server, SocketAddr) {
-        bound_server_tuned(store, ServerTuning::default())
-    }
-
-    fn bound_server_tuned(store: Arc<ModelStore>, tuning: ServerTuning) -> (Server, SocketAddr) {
         let engine = Arc::new(BatchEngine::start(
             store,
             BatchConfig {
@@ -889,8 +865,7 @@ mod tests {
             },
         ));
         let server =
-            Server::bind_service_tuned("127.0.0.1:0", engine as Arc<dyn TransformService>, tuning)
-                .unwrap();
+            Server::bind_service("127.0.0.1:0", engine as Arc<dyn TransformService>).unwrap();
         let addr = server.local_addr().unwrap();
         (server, addr)
     }
@@ -1007,66 +982,37 @@ mod tests {
         server_thread.join().unwrap();
     }
 
-    /// Serve one transform through a server pinned to the given backend and
-    /// return the reply bytes plus the stats counters.
-    fn transform_via_backend(kind: ReactorKind, views: &[Matrix]) -> (Matrix, Vec<(String, u64)>) {
-        let registry = EstimatorRegistry::with_builtin();
-        let model = registry
-            .fit("TCCA", views, &FitSpec::with_rank(2).seed(6))
-            .unwrap();
-        let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
-        store.insert("tcca", model);
-        let (server, addr) = bound_server_tuned(
-            store,
-            ServerTuning {
-                reactor: Some(kind),
-                ..ServerTuning::default()
-            },
-        );
-        assert_eq!(server.backend(), ReactorKind::resolve(Some(kind)));
-        let shutdown = server.shutdown_handle();
-        let server_thread = std::thread::spawn(move || server.run().unwrap());
-
-        let mut client = Client::connect(addr).unwrap();
-        let z = client.transform("tcca", views).unwrap();
-        let stats = client.stats().unwrap();
-        shutdown.shutdown();
-        server_thread.join().unwrap();
-        (z, stats)
-    }
-
     #[test]
-    fn replies_bit_identical_across_reactor_backends() {
+    fn one_server_reply_is_bit_identical_and_counts_wakeups() {
         let views = fixture_views();
         let registry = EstimatorRegistry::with_builtin();
         let model = registry
             .fit("TCCA", &views, &FitSpec::with_rank(2).seed(6))
             .unwrap();
         let expected = model.transform(&views).unwrap();
+        let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
+        store.insert("tcca", model);
+        let (server, addr) = bound_server(store);
+        let shutdown = server.shutdown_handle();
+        let server_thread = std::thread::spawn(move || server.run().unwrap());
 
-        let (via_poll, poll_stats) = transform_via_backend(ReactorKind::Poll, &views);
-        let (via_epoll, epoll_stats) = transform_via_backend(ReactorKind::Epoll, &views);
-        assert_eq!(via_poll, expected, "poll backend must be bit-exact");
-        assert_eq!(
-            via_poll, via_epoll,
-            "replies must be bit-identical across reactor backends"
-        );
+        let mut client = Client::connect(addr).unwrap();
+        let served = client.transform("tcca", &views).unwrap();
+        let stats = client.stats().unwrap();
+        shutdown.shutdown();
+        server_thread.join().unwrap();
+        assert_eq!(served, expected, "the served reply must be bit-exact");
 
-        // Reactor observability: backend id, wakeups and events/wakeup surface
-        // through Stats under both backends.
-        let get = |stats: &[(String, u64)], name: &str| {
+        // Loop observability: wakeups and events/wakeup surface through Stats.
+        let get = |name: &str| {
             stats
                 .iter()
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("missing counter {name}"))
         };
-        assert_eq!(get(&poll_stats, "server/backend"), ReactorKind::Poll.id());
-        assert!(get(&poll_stats, "server/wakeups") > 0);
-        let _ = get(&poll_stats, "server/events_per_wakeup");
-        let resolved = ReactorKind::resolve(Some(ReactorKind::Epoll));
-        assert_eq!(get(&epoll_stats, "server/backend"), resolved.id());
-        assert!(get(&epoll_stats, "server/wakeups") > 0);
+        assert!(get("server/wakeups") > 0);
+        let _ = get("server/events_per_wakeup");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Exactly-once replies: every request gets one reply under its own id — even
-//! when the model panics mid-batch, and even after an earlier call on the same
-//! connection gave up waiting.
+//! when the model or a control op panics, and even after an earlier call on
+//! the same connection gave up waiting.
 
 use linalg::Matrix;
 use mvcore::{CoreError, EstimatorRegistry, FitSpec, MemoryModel, ModelState, MultiViewModel};
+use serve::wire::{ModelInfo, RescanReport};
 use serve::{
-    BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, RouterBuilder, RouterConfig,
-    ServeError, Server, TransformService,
+    BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, OutputsCallback, Precision,
+    ReplyCallback, RouterBuilder, RouterConfig, ServeError, Server, TransformService,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -227,4 +228,77 @@ fn a_timed_out_call_does_not_shift_later_replies() {
     assert_eq!(client.transform("pca", &views).unwrap(), expected);
     client.ping().unwrap();
     stop();
+}
+
+/// A service whose `rescan` panics; its other ops answer at once.
+struct PanickingRescan;
+
+impl TransformService for PanickingRescan {
+    fn submit_transform(
+        &self,
+        _model: &str,
+        _inputs: Arc<Vec<Matrix>>,
+        _deadline: Option<Instant>,
+        reply: ReplyCallback,
+    ) {
+        reply(Err(ServeError::Remote("no models".into())));
+    }
+
+    fn submit_transform_view(
+        &self,
+        _model: &str,
+        _which: usize,
+        _input: Arc<Matrix>,
+        _precision: Precision,
+        _deadline: Option<Instant>,
+        reply: ReplyCallback,
+    ) {
+        reply(Err(ServeError::Remote("no models".into())));
+    }
+
+    fn submit_outputs(
+        &self,
+        _model: &str,
+        _inputs: Arc<Vec<Matrix>>,
+        _deadline: Option<Instant>,
+        reply: OutputsCallback,
+    ) {
+        reply(Err(ServeError::Remote("no models".into())));
+    }
+
+    fn catalog(&self) -> serve::Result<Vec<ModelInfo>> {
+        Ok(Vec::new())
+    }
+
+    fn rescan(&self) -> serve::Result<RescanReport> {
+        panic!("injected rescan panic")
+    }
+}
+
+#[test]
+fn a_panicking_control_op_leaves_later_control_ops_answered() {
+    let server = Server::bind_service("127.0.0.1:0", Arc::new(PanickingRescan)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run().unwrap());
+
+    let mut client = Client::connect(addr).unwrap();
+    client.set_op_timeout(Some(Duration::from_secs(2)));
+    match client.rescan() {
+        Err(ServeError::Remote(msg)) => {
+            assert!(msg.contains("dropped without a reply"), "{msg}")
+        }
+        other => panic!("expected an in-band error, got {other:?}"),
+    }
+    // The control thread outlived the panic: later control ops on the same
+    // server are answered, not left to time out.
+    assert!(client.list_models().unwrap().is_empty());
+    let stats = client.stats().unwrap();
+    assert!(
+        stats.iter().any(|(name, _)| name == "server/wakeups"),
+        "{stats:?}"
+    );
+
+    shutdown.shutdown();
+    server_thread.join().unwrap();
 }
