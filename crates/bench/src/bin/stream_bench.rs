@@ -27,7 +27,7 @@ use serve::{
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use stream::StreamingRegistry;
 
 /// Deterministic two-latent multi-view sample (no RNG: the fixture must make
@@ -215,7 +215,6 @@ fn main() {
         store,
         BatchConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(1),
             ..BatchConfig::default()
         },
     ));

@@ -9,10 +9,11 @@
 //! parallelism of the dense kernels, which reads the same thread budget.
 //!
 //! Jobs are executed in FIFO submission order by a fixed set of detached worker
-//! threads. [`Pool::run`] blocks the submitting thread until its job finishes and
-//! returns the job's value, which is the shape the micro-batching engine needs: the
-//! dispatcher coalesces requests, runs the batched `transform` on the pool, and
-//! replies.
+//! threads. [`Pool::spawn`] is fire-and-forget, the shape the micro-batching
+//! engine needs: each of its batch jobs runs one coalesced `transform` on the
+//! pool, replies, and re-spawns itself at the back of the queue while the
+//! engine's queue holds work. [`Pool::run`] blocks the submitting thread until
+//! its job finishes and returns the job's value.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};

@@ -1,31 +1,34 @@
 //! [`BatchEngine`]: micro-batching transform execution on a bounded thread pool.
 //!
 //! Transform requests are tiny (often a handful of instances) while the dense kernels
-//! amortize best over many columns. The engine therefore **coalesces** concurrent
-//! requests for the same model into one batched call:
+//! amortize best over many columns. The engine therefore **batches while busy** —
+//! the policy of Clipper (Crankshaw et al., NSDI 2017) — with no batching timer:
 //!
-//! 1. a dispatcher thread pops the oldest pending request, opening a batch for that
-//!    request's `(model, op)` key — full transforms and per-view projections batch
-//!    separately,
-//! 2. it keeps absorbing queued requests for the *same* key until the batch holds
-//!    [`BatchConfig::max_batch`] instances or [`BatchConfig::max_wait`] has elapsed
-//!    since the batch opened,
+//! 1. the engine runs at most `pool.workers()` batch jobs at once on its
+//!    [`parallel::Pool`] ([`Pool::shared`] by default, a dedicated pool per router
+//!    shard). An admitted request that finds one of these slots free starts a job
+//!    at once, so a request that arrives while a worker is idle waits for nothing,
+//! 2. a job takes the oldest queued request plus every queued request with the same
+//!    `(model, op)` key — full transforms and per-view projections batch separately
+//!    — up to [`BatchConfig::max_batch`] instances, in one pass over the queue. Only
+//!    work that queued behind busy workers coalesces,
 //! 3. the batch is joined along the instance axis and executed as **one** model
-//!    call on the engine's [`parallel::Pool`] ([`Pool::shared`] by default, a
-//!    dedicated pool per router shard), so concurrent fits and transforms share
-//!    bounded pools instead of oversubscribing the machine. A coalesced
-//!    `transform_view` batch of feature views is the **zero-copy** path: the
-//!    request matrices are wrapped in a borrowed [`linalg::ColsView`] and the
-//!    model's blocked GEMM packs its panels straight from them — no stitched
-//!    copy is ever materialized ([`EngineStats::zero_copy_batches`] counts these,
-//!    and [`linalg::matrix_clones`] / [`linalg::input_stitches`] let tests assert
-//!    the absence of copies). Full `transform` batches and kernel-block batches
-//!    still stitch (`hstack` of per-view matrices / `vstack` of kernel rows),
-//! 4. the embedding rows are split back per request.
+//!    call, so concurrent fits and transforms share bounded pools instead of
+//!    oversubscribing the machine. A coalesced `transform_view` batch of feature
+//!    views is the **zero-copy** path: the request matrices are wrapped in a
+//!    borrowed [`linalg::ColsView`] and the model's blocked GEMM packs its panels
+//!    straight from them — no stitched copy is ever materialized
+//!    ([`EngineStats::zero_copy_batches`] counts these, and
+//!    [`linalg::matrix_clones`] / [`linalg::input_stitches`] let tests assert the
+//!    absence of copies). Full `transform` batches and kernel-block batches still
+//!    stitch (`hstack` of per-view matrices / `vstack` of kernel rows),
+//! 4. the embedding rows are split back per request. If requests remain queued,
+//!    the job re-spawns itself at the back of the pool's queue — engines sharing
+//!    one pool take turns — and otherwise it releases its slot.
 //!
-//! Singleton batches — the window closed with one request — bypass the
-//! coalescing machinery entirely: the model is called directly on the borrowed
-//! request input, with no stitch and no copy regardless of the op or input kind.
+//! Singleton batches bypass the coalescing machinery entirely: the model is called
+//! directly on the borrowed request input, with no stitch and no copy regardless of
+//! the op or input kind.
 //!
 //! Submission is **callback-based** ([`BatchEngine::submit_transform`] and
 //! friends) and inputs arrive `Arc`-shared: the router's retryable submissions
@@ -45,21 +48,22 @@
 //! and answered in band with [`ServeError::ModelPanicked`], naming the model, so
 //! every request still gets exactly one reply and a router neither fails over nor
 //! marks the shard dead. Requests for *different* models never wait on each other
-//! beyond queue order: each batch is dispatched to the pool asynchronously and the
-//! dispatcher immediately opens the next one.
+//! beyond queue order: each job runs one batch, and the other slots keep taking
+//! the next oldest request.
 
 use crate::wire::{CandidateKind, NamedOutput, Precision};
 use crate::{ModelStore, Result, ServeError};
 use linalg::{ColsView, Matrix};
 use mvcore::{InputKind, MultiViewModel, Output};
 use parallel::Pool;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Completion callback for an asynchronously submitted transform. Invoked exactly
-/// once, from a pool worker (or from the dispatcher/submitter on fast-fail paths).
+/// once, from a pool worker (or from the submitter on fast-fail paths, or from
+/// the caller of [`BatchEngine::stop`] for work still queued).
 pub type ReplyCallback = Box<dyn FnOnce(Result<Matrix>) + Send + 'static>;
 
 /// Completion callback for an `outputs` request: the model's named candidates.
@@ -70,8 +74,6 @@ pub type OutputsCallback = Box<dyn FnOnce(Result<Vec<NamedOutput>>) + Send + 'st
 pub struct BatchConfig {
     /// Maximum instances coalesced into one `transform` call.
     pub max_batch: usize,
-    /// Maximum time a batch stays open waiting for more same-model requests.
-    pub max_wait: Duration,
     /// Total queued requests the engine admits before shedding with
     /// [`ServeError::Overloaded`] (0 = unbounded). A full queue means the
     /// execution pool is behind; admitting more work only grows latency for
@@ -87,7 +89,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 256,
-            max_wait: Duration::from_millis(2),
             max_queue: 4096,
             max_per_model: 1024,
         }
@@ -185,6 +186,8 @@ impl PendingInputs {
 struct Pending {
     model: String,
     op: BatchOp,
+    /// The model's batching axis, from its header metadata at admission.
+    kind: InputKind,
     inputs: PendingInputs,
     /// Point past which the answer is dead: the engine replies
     /// [`ServeError::DeadlineExceeded`] instead of computing it.
@@ -198,40 +201,57 @@ impl Pending {
     }
 }
 
-/// The pending queue plus the per-model admission census. Both live under one
-/// mutex so a shed decision and the push it guards are atomic.
+/// The pending queue, the per-model admission census and the slot count. All
+/// live under one mutex so a shed decision and the push it guards are atomic,
+/// and so a job never releases its slot while a request is left queued.
 #[derive(Default)]
 struct AdmissionQueue {
-    q: VecDeque<Pending>,
+    /// Admitted requests, oldest first.
+    q: Vec<Pending>,
     /// Queued request count per model name; entries are removed at zero so the
     /// census cannot outgrow the set of currently queued models.
     per_model: BTreeMap<String, usize>,
+    /// Batch jobs holding a slot, queued on the pool or running; at most
+    /// `pool.workers()`.
+    busy: usize,
 }
 
 impl AdmissionQueue {
     fn push(&mut self, p: Pending) {
         *self.per_model.entry(p.model.clone()).or_insert(0) += 1;
-        self.q.push_back(p);
+        self.q.push(p);
     }
 
-    fn note_removed(&mut self, model: &str) {
-        if let Some(n) = self.per_model.get_mut(model) {
-            *n -= 1;
+    /// Take the oldest request plus every queued request with its `(model, op)`
+    /// key, up to `max_batch` instances, in one pass over the queue.
+    fn take_batch(&mut self, max_batch: usize) -> Vec<Pending> {
+        let Some(head) = self.q.first() else {
+            return Vec::new();
+        };
+        let (model, op) = (head.model.clone(), head.op);
+        let mut instances = 0;
+        let batch: Vec<Pending> = self
+            .q
+            .extract_if(.., |p| {
+                let take = instances < max_batch && p.model == model && p.op == op;
+                if take {
+                    instances += request_instances(p.kind, &p.inputs);
+                }
+                take
+            })
+            .collect();
+        if let Some(n) = self.per_model.get_mut(&model) {
+            *n -= batch.len();
             if *n == 0 {
-                self.per_model.remove(model);
+                self.per_model.remove(&model);
             }
         }
-    }
-
-    fn pop_front(&mut self) -> Option<Pending> {
-        let p = self.q.pop_front()?;
-        self.note_removed(&p.model);
-        Some(p)
+        batch
     }
 
     fn drain_all(&mut self) -> Vec<Pending> {
         self.per_model.clear();
-        self.q.drain(..).collect()
+        std::mem::take(&mut self.q)
     }
 }
 
@@ -240,53 +260,40 @@ struct Shared {
     config: BatchConfig,
     pool: Arc<Pool>,
     queue: Mutex<AdmissionQueue>,
-    wake: Condvar,
     stop: AtomicBool,
-    /// Behind its own `Arc` so pool jobs can record fallbacks after the dispatcher
-    /// has moved on.
-    stats: Arc<Mutex<EngineStats>>,
+    stats: Mutex<EngineStats>,
 }
 
 /// The micro-batching transform engine. Cheap to clone handles are not provided;
 /// share it behind an [`Arc`].
 pub struct BatchEngine {
     shared: Arc<Shared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl BatchEngine {
-    /// Start the engine's dispatcher thread over a store, executing batches on the
-    /// process-wide [`Pool::shared`].
+    /// Start the engine over a store, executing batches on the process-wide
+    /// [`Pool::shared`].
     pub fn start(store: Arc<ModelStore>, config: BatchConfig) -> Self {
         Self::start_with_pool(store, config, Pool::shared())
     }
 
     /// Start the engine on a dedicated execution pool. A sharded router gives each
     /// in-process shard its own pool so one shard's heavy batch cannot starve its
-    /// siblings' execution slots.
+    /// siblings' execution slots. The engine runs at most `pool.workers()` batches
+    /// at once.
     pub fn start_with_pool(store: Arc<ModelStore>, config: BatchConfig, pool: Arc<Pool>) -> Self {
-        let shared = Arc::new(Shared {
-            store,
-            config: BatchConfig {
-                max_batch: config.max_batch.max(1),
-                ..config
-            },
-            pool,
-            queue: Mutex::new(AdmissionQueue::default()),
-            wake: Condvar::new(),
-            stop: AtomicBool::new(false),
-            stats: Arc::new(Mutex::new(EngineStats::default())),
-        });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tcca-batch-dispatch".into())
-                .spawn(move || dispatch_loop(&shared))
-                .expect("spawning the batch dispatcher")
-        };
         Self {
-            shared,
-            dispatcher: Some(dispatcher),
+            shared: Arc::new(Shared {
+                store,
+                config: BatchConfig {
+                    max_batch: config.max_batch.max(1),
+                    ..config
+                },
+                pool,
+                queue: Mutex::new(AdmissionQueue::default()),
+                stop: AtomicBool::new(false),
+                stats: Mutex::new(EngineStats::default()),
+            }),
         }
     }
 
@@ -304,9 +311,12 @@ impl BatchEngine {
         reply: ReplyCallback,
     ) {
         // Resolve the name eagerly so unknown models fail fast with the catalog.
-        if let Err(e) = self.shared.store.entry(model) {
-            return reply(Err(e));
-        }
+        // The batching axis comes from the header metadata alone — a *cold*
+        // model's payload is deserialized inside the pool job, never here.
+        let kind = match self.shared.store.entry(model) {
+            Ok(entry) => entry.meta().input_kind,
+            Err(e) => return reply(Err(e)),
+        };
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.shared
                 .stats
@@ -319,11 +329,11 @@ impl BatchEngine {
         }
         {
             let mut queue = self.shared.queue.lock().expect("engine queue lock");
-            // The stop check happens *under the queue lock*: the dispatcher drains
-            // the queue under this lock before exiting, so a request either lands
-            // in the queue in time to be failed by that drain, or observes the
-            // flag here — it can never be pushed after the drain and stranded with
-            // its callback forever uncalled.
+            // The stop check happens *under the queue lock*: `stop` drains the
+            // queue under this lock, so a request either lands in the queue in
+            // time to be failed by that drain, or observes the flag here — it can
+            // never be pushed after the drain and stranded with its callback
+            // forever uncalled.
             if self.shared.stop.load(Ordering::SeqCst) {
                 drop(queue);
                 return reply(Err(ServeError::EngineStopped));
@@ -358,6 +368,7 @@ impl BatchEngine {
             queue.push(Pending {
                 model: model.to_string(),
                 op,
+                kind,
                 inputs,
                 deadline,
                 reply,
@@ -367,16 +378,22 @@ impl BatchEngine {
                 .lock()
                 .expect("engine stats lock")
                 .requests += 1;
+            // Start a batch job if one of the engine's slots is free.
+            if queue.busy < self.shared.pool.workers() {
+                queue.busy += 1;
+                let shared = Arc::clone(&self.shared);
+                self.shared.pool.spawn(move || run_batch(shared));
+            }
         }
-        self.shared.wake.notify_one();
     }
 
-    /// Asynchronously project instances through a stored model, transparently
-    /// coalescing with concurrent requests for the same model. The callback runs
-    /// when the result is ready — the submitting thread never blocks, which is what
-    /// the event-loop server needs. The inputs are `Arc`-shared: the engine only
-    /// ever borrows them. A `deadline` bounds how long the answer stays worth
-    /// computing: work still queued past it is failed in-band instead of run.
+    /// Asynchronously project instances through a stored model, coalescing with
+    /// requests for the same model that queued while the engine was busy. The
+    /// callback runs when the result is ready — the submitting thread never
+    /// blocks, which is what the event-loop server needs. The inputs are
+    /// `Arc`-shared: the engine only ever borrows them. A `deadline` bounds how
+    /// long the answer stays worth computing: work still queued past it is failed
+    /// in-band instead of run.
     pub fn submit_transform(
         &self,
         model: &str,
@@ -394,7 +411,7 @@ impl BatchEngine {
     }
 
     /// Asynchronously project a *single* view through the model's per-view
-    /// projection. Concurrent single-view requests for the same `(model, view)`
+    /// projection. Queued single-view requests for the same `(model, view)`
     /// coalesce into one `transform_view` call that — for feature views — addresses
     /// every request's columns in place through a [`linalg::ColsView`]: no stitched
     /// copy, no per-view `hstack`, zero input copies. The projection always runs
@@ -448,28 +465,32 @@ impl BatchEngine {
             .lock()
             .expect("engine stats lock")
             .requests += 1;
-        let store = Arc::clone(&self.shared.store);
-        let stats = Arc::clone(&self.shared.stats);
+        let shared = Arc::clone(&self.shared);
         let model = model.to_string();
         self.shared.pool.spawn(move || {
             // Re-check on the worker: the pool may have been backed up past the
             // budget, and a dead answer is not worth the model call.
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                stats.lock().expect("engine stats lock").deadline_dropped += 1;
+                shared
+                    .stats
+                    .lock()
+                    .expect("engine stats lock")
+                    .deadline_dropped += 1;
                 return reply(Err(ServeError::DeadlineExceeded(
                     "deadline passed while queued for execution".into(),
                 )));
             }
             reply(guarded(&model, || {
-                named_outputs(store.get(&model)?.as_ref(), &inputs)
+                named_outputs(shared.store.get(&model)?.as_ref(), &inputs)
             }));
         });
     }
 
-    /// Project instances through a stored model, transparently coalescing with
-    /// concurrent requests for the same model. Blocks until the result is ready.
-    /// (Do not call from a pool worker of this engine's own pool — batches execute
-    /// there, and blocking a worker on its own queue can deadlock.)
+    /// Project instances through a stored model, coalescing with requests for the
+    /// same model that queued while the engine was busy. Blocks until the result
+    /// is ready. (Do not call from a pool worker of this engine's own pool —
+    /// batches execute there, and blocking a worker on its own queue can
+    /// deadlock.)
     pub fn transform(&self, model: &str, inputs: Vec<Matrix>) -> Result<Matrix> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         self.submit_transform(
@@ -507,17 +528,23 @@ impl BatchEngine {
         rx.recv().map_err(|_| ServeError::EngineStopped)?
     }
 
-    /// Requests currently queued (admitted but not yet dispatched).
+    /// Requests currently queued (admitted but not yet taken into a batch).
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().expect("engine queue lock").q.len()
     }
 
     /// Stop accepting work and fail queued requests with
     /// [`ServeError::EngineStopped`]. Used by the router to simulate/realize shard
-    /// death; idempotent.
+    /// death; idempotent. Batches already taken by a job still complete.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
+        let drained = {
+            let mut queue = self.shared.queue.lock().expect("engine queue lock");
+            self.shared.stop.store(true, Ordering::SeqCst);
+            queue.drain_all()
+        };
+        for pending in drained {
+            (pending.reply)(Err(ServeError::EngineStopped));
+        }
     }
 
     /// Whether [`BatchEngine::stop`] has been called.
@@ -544,9 +571,6 @@ impl BatchEngine {
 impl Drop for BatchEngine {
     fn drop(&mut self) {
         self.stop();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -586,109 +610,48 @@ fn request_instances(kind: InputKind, inputs: &PendingInputs) -> usize {
     }
 }
 
-fn dispatch_loop(shared: &Shared) {
-    loop {
-        // Wait for the first request of the next batch. On stop, fail everything
-        // still queued with `EngineStopped` *under the queue lock* (paired with the
-        // in-lock stop check in `enqueue`) so no callback is ever stranded.
-        let first = {
-            let mut queue = shared.queue.lock().expect("engine queue lock");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    let drained = queue.drain_all();
-                    drop(queue);
-                    for pending in drained {
-                        (pending.reply)(Err(ServeError::EngineStopped));
-                    }
-                    return;
-                }
-                if let Some(p) = queue.pop_front() {
-                    break p;
-                }
-                queue = shared.wake.wait(queue).expect("engine queue lock");
-            }
-        };
-
-        // A request whose deadline passed while queued must not open a batch
-        // window (the window would make *later* requests late too). Answer it
-        // in-band and move on.
-        if first.expired(Instant::now()) {
-            shared
-                .stats
-                .lock()
-                .expect("engine stats lock")
-                .deadline_dropped += 1;
-            (first.reply)(Err(ServeError::DeadlineExceeded(
-                "deadline passed while queued for dispatch".into(),
-            )));
-            continue;
+/// One batch job: take one batch off the queue and execute it. The job holds
+/// one of the engine's slots from the moment it is spawned; its [`Slot`] hands
+/// the slot on when the job ends.
+fn run_batch(shared: Arc<Shared>) {
+    let slot = Slot(shared);
+    let shared = &slot.0;
+    let batch = shared
+        .queue
+        .lock()
+        .expect("engine queue lock")
+        .take_batch(shared.config.max_batch);
+    if batch.is_empty() {
+        // A sibling job already took the request this job was spawned for.
+        return;
+    }
+    {
+        let mut stats = shared.stats.lock().expect("engine stats lock");
+        stats.batches += 1;
+        if batch.len() > 1 {
+            stats.coalesced_requests += batch.len();
         }
+    }
+    execute_batch(shared, batch);
+}
 
-        // The batching axis comes from the header metadata alone — a *cold* model's
-        // payload is deserialized inside the pool job below, never on the
-        // dispatcher thread, so a slow first load of one model cannot head-of-line
-        // block batching for every other model.
-        let kind = match shared.store.entry(&first.model) {
-            Ok(entry) => entry.meta().input_kind,
-            Err(e) => {
-                (first.reply)(Err(e));
-                continue;
-            }
-        };
+/// A batch job's hold on one of its engine's slots. Dropping it — when the job
+/// returns *or unwinds* — re-spawns the job at the back of the pool's queue if
+/// requests remain, so queued work is never stranded without a job, and
+/// otherwise releases the slot.
+struct Slot(Arc<Shared>);
 
-        // Absorb same-(model, op) requests until the batch is full or the window
-        // closes.
-        let mut batch = vec![first];
-        let mut instances = request_instances(kind, &batch[0].inputs);
-        let deadline = Instant::now() + shared.config.max_wait;
-        {
-            let mut queue = shared.queue.lock().expect("engine queue lock");
-            loop {
-                while instances < shared.config.max_batch {
-                    let next = queue
-                        .q
-                        .iter()
-                        .position(|p| p.model == batch[0].model && p.op == batch[0].op)
-                        .and_then(|i| queue.q.remove(i));
-                    match next {
-                        Some(p) => {
-                            queue.note_removed(&p.model);
-                            instances += request_instances(kind, &p.inputs);
-                            batch.push(p);
-                        }
-                        None => break,
-                    }
-                }
-                if instances >= shared.config.max_batch || shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                // Woken by a new request or the window closing; the next loop
-                // iteration sweeps the queue again either way.
-                let (q, _timeout) = shared
-                    .wake
-                    .wait_timeout(queue, deadline - now)
-                    .expect("engine queue lock");
-                queue = q;
-            }
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // Recover a poisoned guard rather than panic inside a panicking job: every
+        // update under this lock leaves the queue valid at every step.
+        let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        if queue.q.is_empty() {
+            queue.busy -= 1;
+        } else {
+            let shared = Arc::clone(&self.0);
+            self.0.pool.spawn(move || run_batch(shared));
         }
-
-        // Execute asynchronously on the engine's pool; the dispatcher moves on.
-        {
-            let mut stats = shared.stats.lock().expect("engine stats lock");
-            stats.batches += 1;
-            if batch.len() > 1 {
-                stats.coalesced_requests += batch.len();
-            }
-        }
-        let stats = Arc::clone(&shared.stats);
-        let store = Arc::clone(&shared.store);
-        shared
-            .pool
-            .spawn(move || execute_batch(&store, kind, batch, &stats));
     }
 }
 
@@ -726,14 +689,10 @@ fn run_single(model: &dyn MultiViewModel, op: BatchOp, inputs: &PendingInputs) -
     }
 }
 
-fn execute_batch(
-    store: &ModelStore,
-    kind: InputKind,
-    batch: Vec<Pending>,
-    stats: &Arc<Mutex<EngineStats>>,
-) {
+fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+    let (store, stats) = (&shared.store, &shared.stats);
     // Deadlines are re-checked at execution: the pool may be backed up, and a
-    // batch member whose budget ran out while waiting gets an in-band
+    // batch member whose budget ran out while queued gets an in-band
     // DeadlineExceeded instead of a dead answer (its neighbours still run).
     let now = Instant::now();
     let (batch, expired): (Vec<Pending>, Vec<Pending>) =
@@ -749,7 +708,7 @@ fn execute_batch(
     if batch.is_empty() {
         return;
     }
-    let name = batch[0].model.clone();
+    let (name, kind) = (batch[0].model.clone(), batch[0].kind);
     let model: Arc<dyn MultiViewModel> = match guarded(&name, || store.get(&name)) {
         Ok(m) => m,
         Err(e) => {
@@ -935,8 +894,11 @@ fn run_coalesced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_gate::{gated, Gate, WAIT};
     use datasets::{secstr_dataset, SecStrConfig};
     use mvcore::{EstimatorRegistry, FitSpec};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn fixture_views() -> Vec<Matrix> {
         let data = secstr_dataset(&SecStrConfig {
@@ -950,45 +912,35 @@ mod tests {
             .collect()
     }
 
+    fn fit(method: &str, views: &[Matrix], rank: usize) -> Box<dyn MultiViewModel> {
+        EstimatorRegistry::with_builtin()
+            .fit(method, views, &FitSpec::with_rank(rank).seed(2))
+            .unwrap()
+    }
+
     fn engine_with(name: &str, method: &str, views: &[Matrix]) -> BatchEngine {
-        let registry = EstimatorRegistry::with_builtin();
-        let model = registry
-            .fit(method, views, &FitSpec::with_rank(2).seed(2))
-            .unwrap();
         let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
-        store.insert(name, model);
+        store.insert(name, fit(method, views, 2));
         BatchEngine::start(
             store,
             BatchConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(20),
                 ..BatchConfig::default()
             },
         )
     }
 
-    /// Two fast PCA models behind one engine with the given admission config.
-    fn two_model_engine(config: BatchConfig) -> (BatchEngine, Vec<Matrix>) {
+    /// PCA model "a" behind a gate and an identical plain PCA model "b", on a
+    /// one-worker engine: a request for "a" holds the engine's only slot until
+    /// the gate opens, and everything submitted meanwhile stays queued.
+    fn parked_engine(config: BatchConfig) -> (BatchEngine, Vec<Matrix>, Gate) {
         let views = fixture_views();
-        let registry = EstimatorRegistry::with_builtin();
         let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
-        for name in ["a", "b"] {
-            let model = registry
-                .fit("PCA", &views, &FitSpec::with_rank(2).seed(2))
-                .unwrap();
-            store.insert(name, model);
-        }
-        (BatchEngine::start(store, config), views)
-    }
-
-    /// Wait until the dispatcher has drained the queue (popped everything into
-    /// an open batch window or onto the pool).
-    fn wait_queue_empty(engine: &BatchEngine) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while engine.queue_depth() > 0 {
-            assert!(Instant::now() < deadline, "queue never drained");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (model, gate) = gated(fit("PCA", &views, 2));
+        store.insert("a", model);
+        store.insert("b", fit("PCA", &views, 2));
+        let engine = BatchEngine::start_with_pool(store, config, Arc::new(Pool::new(1)));
+        (engine, views, gate)
     }
 
     #[test]
@@ -1011,87 +963,86 @@ mod tests {
 
     #[test]
     fn concurrent_requests_coalesce_and_split_correctly() {
-        let views = fixture_views();
-        let engine = Arc::new(engine_with("pca", "PCA", &views));
-        let direct = engine
-            .store()
-            .get("pca")
-            .unwrap()
-            .transform(&views)
-            .unwrap();
+        let (engine, views, mut gate) = parked_engine(BatchConfig::default());
+        let direct = engine.store().get("b").unwrap().transform(&views).unwrap();
 
-        // 8 clients each asking for a distinct 4-instance slice.
-        let mut handles = Vec::new();
+        // 8 clients each asking for a distinct 4-instance slice, queued behind
+        // the engine's only slot, which a request for "a" holds.
+        engine.submit_transform("a", Arc::new(views.clone()), None, Box::new(drop));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
         for c in 0..8usize {
-            let engine = Arc::clone(&engine);
+            let tx = tx.clone();
             let slice: Vec<Matrix> = views
                 .iter()
                 .map(|v| v.select_columns(&(4 * c..4 * (c + 1)).collect::<Vec<_>>()))
                 .collect();
-            handles.push(std::thread::spawn(move || {
-                (c, engine.transform("pca", slice).unwrap())
-            }));
+            let reply = Box::new(move |r| drop(tx.send((c, r))));
+            engine.submit_transform("b", Arc::new(slice), None, reply);
         }
-        for h in handles {
-            let (c, z) = h.join().unwrap();
+        gate.open();
+        for _ in 0..8 {
+            let (c, z) = rx.recv_timeout(WAIT).expect("a reply per request");
             let expected = direct.select_rows(&(4 * c..4 * (c + 1)).collect::<Vec<_>>());
-            assert_eq!(z, expected, "client {c}");
+            assert_eq!(z.unwrap(), expected, "client {c}");
         }
 
         let stats = engine.stats();
-        assert_eq!(stats.requests, 8);
-        assert!(
-            stats.batches <= stats.requests,
-            "batches {} > requests {}",
-            stats.batches,
-            stats.requests
-        );
+        assert_eq!(stats.requests, 9, "8 clients and the slot holder");
+        assert!(stats.coalesced_requests >= 2, "{stats:?}");
     }
 
     #[test]
     fn transductive_batches_fall_back_to_individual_execution() {
-        let views = fixture_views();
-        let engine = Arc::new(engine_with("dse", "DSE", &views));
-        // Two concurrent requests for the exact training batch: coalescing doubles
-        // the instance count, the fingerprint check rejects it, and the fallback
-        // serves both individually.
-        let mut handles = Vec::new();
+        let (engine, views, mut gate) = parked_engine(BatchConfig::default());
+        engine.store().insert("dse", fit("DSE", &views, 2));
+        // Two requests for the exact training batch queue behind the slot a
+        // request for "a" holds: coalescing doubles the instance count, the
+        // fingerprint check rejects it, and the fallback serves both individually.
+        engine.submit_transform("a", Arc::new(views.clone()), None, Box::new(drop));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
         for _ in 0..2 {
-            let engine = Arc::clone(&engine);
-            let inputs = views.clone();
-            handles.push(std::thread::spawn(move || {
-                engine.transform("dse", inputs).unwrap()
-            }));
+            let tx = tx.clone();
+            let reply = Box::new(move |r| drop(tx.send(r)));
+            engine.submit_transform("dse", Arc::new(views.clone()), None, reply);
         }
-        let results: Vec<Matrix> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        gate.open();
+        let results: Vec<Matrix> = (0..2)
+            .map(|_| rx.recv_timeout(WAIT).expect("a reply per request").unwrap())
+            .collect();
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0].rows(), 32);
+        assert_eq!(engine.stats().fallbacks, 1);
     }
 
     #[test]
     fn concurrent_single_view_requests_coalesce_without_full_stitch() {
-        let views = fixture_views();
-        let engine = Arc::new(engine_with("ccals", "CCA-LS", &views));
+        let (engine, views, mut gate) = parked_engine(BatchConfig::default());
+        engine.store().insert("ccals", fit("CCA-LS", &views, 2));
         let model = engine.store().get("ccals").unwrap();
         let direct = model.transform_view(1, &views[1]).unwrap();
 
-        // 8 clients each projecting a distinct 4-instance slice of view 1 only.
-        let mut handles = Vec::new();
+        // 8 clients each projecting a distinct 4-instance slice of view 1 only,
+        // queued behind the engine's only slot, which a request for "a" holds.
+        engine.submit_transform("a", Arc::new(views.clone()), None, Box::new(drop));
+        gate.wait_entered();
+        let (tx, rx) = mpsc::channel();
         for c in 0..8usize {
-            let engine = Arc::clone(&engine);
+            let tx = tx.clone();
             let slice = views[1].select_columns(&(4 * c..4 * (c + 1)).collect::<Vec<_>>());
-            handles.push(std::thread::spawn(move || {
-                (c, engine.transform_view("ccals", 1, slice).unwrap())
-            }));
+            let reply = Box::new(move |r| drop(tx.send((c, r))));
+            engine.submit_transform_view("ccals", 1, Arc::new(slice), Precision::F64, None, reply);
         }
-        for h in handles {
-            let (c, z) = h.join().unwrap();
+        gate.open();
+        for _ in 0..8 {
+            let (c, z) = rx.recv_timeout(WAIT).expect("a reply per request");
             let expected = direct.select_rows(&(4 * c..4 * (c + 1)).collect::<Vec<_>>());
-            assert_eq!(z, expected, "client {c}");
+            assert_eq!(z.unwrap(), expected, "client {c}");
         }
         let stats = engine.stats();
-        assert_eq!(stats.requests, 8);
-        assert!(stats.batches <= stats.requests);
+        assert_eq!(stats.requests, 9, "8 clients and the slot holder");
+        assert!(stats.coalesced_requests >= 2, "{stats:?}");
 
         // Full-transform and single-view requests never coalesce with each other:
         // a full transform interleaved with view requests still matches direct.
@@ -1151,11 +1102,10 @@ mod tests {
 
     #[test]
     fn per_model_cap_sheds_the_hot_tenant_in_band() {
-        // A long batch window for model "a" holds the dispatcher while "b"
+        // A gated request for model "a" holds the engine's only slot while "b"
         // requests pile up in the queue; the per-model cap bounds the pile.
-        let (engine, views) = two_model_engine(BatchConfig {
+        let (engine, views, mut gate) = parked_engine(BatchConfig {
             max_batch: 10_000,
-            max_wait: Duration::from_millis(400),
             max_queue: 0,
             max_per_model: 2,
         });
@@ -1170,12 +1120,14 @@ mod tests {
                 Box::new(move |r| drop(tx.send(r))),
             );
         };
-        submit("a"); // opens the window
+        submit("a"); // takes the slot
         for _ in 0..5 {
             submit("b"); // 2 admitted, 3 shed
         }
+        gate.open();
         drop(tx);
-        let results: Vec<_> = rx.iter().collect();
+        // Ends once every callback is consumed; a stranded one times out.
+        let results: Vec<_> = std::iter::from_fn(|| rx.recv_timeout(WAIT).ok()).collect();
         assert_eq!(results.len(), 6, "every request must get exactly one reply");
         let ok = results.iter().filter(|r| r.is_ok()).count();
         let shed = results
@@ -1193,9 +1145,8 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_in_band() {
-        let (engine, views) = two_model_engine(BatchConfig {
+        let (engine, views, mut gate) = parked_engine(BatchConfig {
             max_batch: 10_000,
-            max_wait: Duration::from_millis(400),
             max_queue: 3,
             max_per_model: 0,
         });
@@ -1211,12 +1162,14 @@ mod tests {
             );
         };
         submit("a");
-        wait_queue_empty(&engine); // "a" popped: its batch window is open
+        gate.wait_entered(); // "a" left the queue: it holds the only slot
         for _ in 0..5 {
             submit("b"); // 3 fill the queue, 2 shed
         }
+        gate.open();
         drop(tx);
-        let results: Vec<_> = rx.iter().collect();
+        // Ends once every callback is consumed; a stranded one times out.
+        let results: Vec<_> = std::iter::from_fn(|| rx.recv_timeout(WAIT).ok()).collect();
         assert_eq!(results.len(), 6);
         let ok = results.iter().filter(|r| r.is_ok()).count();
         let shed = results
@@ -1229,7 +1182,8 @@ mod tests {
 
     #[test]
     fn expired_deadlines_are_failed_in_band_never_computed() {
-        let (engine, views) = two_model_engine(BatchConfig::default());
+        let views = fixture_views();
+        let engine = engine_with("a", "PCA", &views);
         let inputs = Arc::new(views.clone());
 
         // Already expired at submission: rejected synchronously.
@@ -1272,11 +1226,10 @@ mod tests {
 
     #[test]
     fn deadline_expiring_in_queue_is_dropped_at_dispatch() {
-        // "a" holds the dispatcher's batch window open longer than "b"'s
-        // budget; when "b" is finally popped its deadline has passed.
-        let (engine, views) = two_model_engine(BatchConfig {
+        // "a" holds the engine's only slot past "b"'s budget; when "b" is
+        // finally taken into a batch its deadline has passed.
+        let (engine, views, mut gate) = parked_engine(BatchConfig {
             max_batch: 10_000,
-            max_wait: Duration::from_millis(300),
             ..BatchConfig::default()
         });
         let inputs = Arc::new(views.clone());
@@ -1287,19 +1240,127 @@ mod tests {
             None,
             Box::new(move |r| drop(tx_a.send(r))),
         );
-        wait_queue_empty(&engine);
+        gate.wait_entered();
+        let budget = Duration::from_millis(30);
         let (tx_b, rx_b) = std::sync::mpsc::sync_channel(1);
         engine.submit_transform(
             "b",
             Arc::clone(&inputs),
-            Some(Instant::now() + Duration::from_millis(30)),
+            Some(Instant::now() + budget),
             Box::new(move |r| drop(tx_b.send(r))),
         );
-        assert!(rx_a.recv().unwrap().is_ok(), "the window holder succeeds");
+        std::thread::sleep(budget); // "b"'s deadline passes while it is queued
+        gate.open();
+        assert!(
+            rx_a.recv_timeout(WAIT).unwrap().is_ok(),
+            "the slot holder succeeds"
+        );
         assert!(matches!(
-            rx_b.recv().unwrap(),
+            rx_b.recv_timeout(WAIT).unwrap(),
             Err(ServeError::DeadlineExceeded(_))
         ));
         assert!(engine.stats().deadline_dropped >= 1);
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_engine_runs_without_company() {
+        let (engine, views, mut gate) = parked_engine(BatchConfig::default());
+        let (tx, rx) = mpsc::channel();
+        engine.submit_transform(
+            "a",
+            Arc::new(views.clone()),
+            None,
+            Box::new(move |r| drop(tx.send(r))),
+        );
+        // No second request is ever submitted: the lone one must reach the
+        // model on its own.
+        gate.wait_entered();
+        gate.open();
+        let z = rx.recv_timeout(WAIT).expect("the lone request is answered");
+        let direct = engine.store().get("b").unwrap().transform(&views).unwrap();
+        assert_eq!(z.unwrap(), direct);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.requests, stats.batches, stats.singleton_batches),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn slots_answer_every_request_exactly_once_under_stress() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 250;
+        let views = fixture_views();
+        let names = ["m0", "m1", "m2"];
+        let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
+        for (rank, name) in (1..).zip(names) {
+            store.insert(name, fit("PCA", &views, rank));
+        }
+        let models: Vec<_> = names.map(|name| store.get(name).unwrap()).to_vec();
+        // Eight 4-instance slices, shared as full-transform and per-view inputs.
+        let full: Vec<Arc<Vec<Matrix>>> = (0..8)
+            .map(|c| {
+                let cols: Vec<usize> = (4 * c..4 * (c + 1)).collect();
+                Arc::new(views.iter().map(|v| v.select_columns(&cols)).collect())
+            })
+            .collect();
+        let parts: Vec<Vec<Arc<Matrix>>> = full
+            .iter()
+            .map(|f| f.iter().cloned().map(Arc::new).collect())
+            .collect();
+        // Request `i`: model `i % 3`, slice `i % 8`, a full transform when
+        // `i % 4 == 0` and otherwise view `i % 4 - 1`.
+        let request = |i: usize| (i % 3, (i % 4).checked_sub(1), i % 8);
+        let direct = |i: usize| {
+            let (m, view, c) = request(i);
+            match view {
+                None => models[m].transform(&full[c]),
+                Some(v) => models[m].transform_view(v, &parts[c][v]),
+            }
+            .unwrap()
+        };
+        let engine =
+            BatchEngine::start_with_pool(store, BatchConfig::default(), Arc::new(Pool::new(2)));
+
+        let (tx, rx) = mpsc::channel();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (engine, tx, barrier) = (&engine, tx.clone(), &barrier);
+                let (full, parts) = (&full, &parts);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in t * PER_THREAD..(t + 1) * PER_THREAD {
+                        let tx = tx.clone();
+                        let reply: ReplyCallback = Box::new(move |r| drop(tx.send((i, r))));
+                        let (m, view, c) = request(i);
+                        match view {
+                            None => {
+                                engine.submit_transform(names[m], Arc::clone(&full[c]), None, reply)
+                            }
+                            Some(v) => engine.submit_transform_view(
+                                names[m],
+                                v,
+                                Arc::clone(&parts[c][v]),
+                                Precision::F64,
+                                None,
+                                reply,
+                            ),
+                        }
+                    }
+                });
+            }
+        });
+        drop(tx);
+
+        let mut answered = vec![false; THREADS * PER_THREAD];
+        for _ in 0..answered.len() {
+            let (i, z) = rx.recv_timeout(WAIT).expect("every request is answered");
+            assert!(!answered[i], "request {i} answered twice");
+            answered[i] = true;
+            assert_eq!(z.unwrap(), direct(i), "request {i}");
+        }
+        assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.stats().requests, THREADS * PER_THREAD);
     }
 }

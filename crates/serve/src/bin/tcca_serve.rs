@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! tcca_serve serve   --models DIR [--addr HOST:PORT]
-//!                    [--max-batch N] [--max-wait-ms M]
-//!                    [--max-queue N] [--max-per-model N]
+//!                    [--max-batch N] [--max-queue N] [--max-per-model N]
 //!                    [--rescan-ms MS] [--payload-budget-mb MB]
 //!                    [--train MODEL] [--train-interval-ms MS] [--train-reservoir N]
 //!                    [--train-rank R] [--train-seed S] [--train-history true]
 //! tcca_serve route   [--models DIR --shards N] [--shard ADDR ...] [--addr HOST:PORT]
 //!                    [--replication R] [--max-batch N]
-//!                    [--max-wait-ms M] [--max-queue N] [--max-per-model N]
+//!                    [--max-queue N] [--max-per-model N]
 //! tcca_serve cluster --addr HOST:PORT [--add ADDR ...] [--remove ID ...]
-//! tcca_serve bench   [--clients N] [--requests N] [--shards N] [--models N] [--out FILE]
 //! tcca_serve soak    [--seed S] [--clients N] [--models N] [--local-shards N]
 //!                    [--remote-shards N] [--phase-ms MS]
 //!                    [--deadline-ms MS] [--max-queue N] [--max-per-model N]
@@ -38,15 +36,15 @@
 //! * `cluster` talks the control-plane ops to a live router-backed server: each
 //!   `--add ADDR` admits a validated remote shard, each `--remove ID` drains and
 //!   removes one, then the final membership table prints.
-//! * `bench` measures loopback throughput: a single-process server vs a local
-//!   `--shards`-way router under the same many-client small-request workload, plus
-//!   the batched `transform_view` path vs full `transform`. Emits JSON.
 //! * `soak` runs the seeded chaos harness (`serve::soak`): a sharded tier under
 //!   Zipf/bursty traffic with a mid-run shard crash, injected link faults, rescan
 //!   churn and eviction pressure. Emits JSON (phase metrics + counters + the fault
 //!   seed for replay); `--assert true` exits non-zero if the overload contract was
 //!   violated (any front-connection hang, transport error or protocol violation,
 //!   or recovery below 90% of the pre-chaos baseline).
+//! * Each engine runs a request as soon as one of its pool workers is free;
+//!   requests that queue behind busy workers coalesce into one model call of up
+//!   to `--max-batch` instances. There is no batching timer.
 //! * `--max-queue` / `--max-per-model` bound each engine's admission queue; work
 //!   beyond a bound is shed with an in-band `Overloaded` reply instead of queuing
 //!   without limit (0 = unbounded).
@@ -63,18 +61,20 @@
 //!   `--refit true` also triggers an asynchronous refresh first.
 //! * `demo` fits a small model on synthetic SecStr-like data and saves it — enough
 //!   to smoke-test the serving path end to end without a dataset download.
+//! * Every subcommand rejects a flag it does not read with `unknown flag --NAME`
+//!   and the usage text, so a misspelled flag never passes silently.
 
 use linalg::Matrix;
 use mvcore::{EstimatorRegistry, FitSpec, MultiViewModel};
 use serve::{
-    BatchConfig, Client, ModelStore, Router, RouterBuilder, RouterConfig, Server, TrainerConfig,
+    BatchConfig, Client, ModelStore, RouterBuilder, RouterConfig, Server, TrainerConfig,
     TrainerService,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,7 +82,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("route") => cmd_route(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("soak") => cmd_soak(&args[1..]),
         Some("embed") => cmd_embed(&args[1..]),
         Some("inspect") => cmd_inspect(&args[1..]),
@@ -105,16 +104,14 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   tcca_serve serve   --models DIR [--addr HOST:PORT]
-                     [--max-batch N] [--max-wait-ms M]
-                     [--max-queue N] [--max-per-model N]
+                     [--max-batch N] [--max-queue N] [--max-per-model N]
                      [--rescan-ms MS] [--payload-budget-mb MB]
                      [--train MODEL] [--train-interval-ms MS] [--train-reservoir N]
                      [--train-rank R] [--train-seed S] [--train-history true]
   tcca_serve route   [--models DIR --shards N] [--shard ADDR ...] [--addr HOST:PORT]
                      [--replication R] [--max-batch N]
-                     [--max-wait-ms M] [--max-queue N] [--max-per-model N]
+                     [--max-queue N] [--max-per-model N]
   tcca_serve cluster --addr HOST:PORT [--add ADDR ...] [--remove ID ...]
-  tcca_serve bench   [--clients N] [--requests N] [--shards N] [--models N] [--out FILE]
   tcca_serve soak    [--seed S] [--clients N] [--models N] [--local-shards N]
                      [--remote-shards N] [--phase-ms MS]
                      [--deadline-ms MS] [--max-queue N] [--max-per-model N]
@@ -124,13 +121,12 @@ const USAGE: &str = "usage:
   tcca_serve stats   --addr HOST:PORT [--refit true]
   tcca_serve demo    --out DIR [--method NAME] [--instances N] [--rank R]";
 
-/// Parse the shared `--max-batch/--max-wait-ms/--max-queue/--max-per-model`
-/// engine flags on top of the defaults.
+/// Parse the shared `--max-batch/--max-queue/--max-per-model` engine flags on
+/// top of the defaults.
 fn batch_flags(flags: &Flags) -> Result<BatchConfig, String> {
     let defaults = BatchConfig::default();
     Ok(BatchConfig {
         max_batch: flags.parsed("max-batch", defaults.max_batch)?,
-        max_wait: Duration::from_millis(flags.parsed("max-wait-ms", 2u64)?),
         max_queue: flags.parsed("max-queue", defaults.max_queue)?,
         max_per_model: flags.parsed("max-per-model", defaults.max_per_model)?,
     })
@@ -142,18 +138,23 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args`, rejecting any flag whose name is not in `known`: the
+    /// whitespace-separated names the subcommand reads.
+    fn parse(args: &[String], known: &str) -> Result<Self, String> {
         let mut values = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let flag = &args[i];
-            if !flag.starts_with("--") {
+            let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("expected a --flag, got {flag:?}\n{USAGE}"));
+            };
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag {flag}\n{USAGE}"));
             }
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("{flag} requires a value"))?;
-            values.push((flag[2..].to_string(), value.clone()));
+            values.push((name.to_string(), value.clone()));
             i += 2;
         }
         Ok(Self { values })
@@ -190,7 +191,11 @@ impl Flags {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        "models addr max-batch max-queue max-per-model rescan-ms payload-budget-mb \
+         train train-interval-ms train-reservoir train-rank train-seed train-history",
+    )?;
     let dir = flags.require("models")?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let config = batch_flags(&flags)?;
@@ -252,7 +257,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        "models shards shard addr replication max-batch max-queue max-per-model",
+    )?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7879");
     let batch = batch_flags(&flags)?;
     let config = RouterConfig {
@@ -294,7 +302,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
 /// (`--add`, validated before entering the table), drain-and-remove shards
 /// (`--remove`), then print the final membership table.
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "addr add remove")?;
     let addr = flags.require("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     client.set_op_timeout(Some(Duration::from_secs(30)));
@@ -331,235 +339,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Fit `n_models` small PCA models over shared synthetic views and save them into
-/// a fresh temp directory. Returns `(dir, model names, views)`.
-fn bench_fixture(n_models: usize) -> Result<(PathBuf, Vec<String>, Vec<Matrix>), String> {
-    let dir = std::env::temp_dir().join(format!("tcca-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let data = datasets::secstr_dataset(&datasets::SecStrConfig {
-        n_instances: 64,
-        seed: 13,
-        difficulty: 0.8,
-    });
-    let views: Vec<Matrix> = data
-        .views()
-        .iter()
-        .map(|v| v.select_rows(&(0..8.min(v.rows())).collect::<Vec<_>>()))
-        .collect();
-    let registry = EstimatorRegistry::with_builtin();
-    let store = ModelStore::new(EstimatorRegistry::with_builtin());
-    let mut names = Vec::with_capacity(n_models);
-    for i in 0..n_models {
-        let name = format!("m{i}");
-        let model = registry
-            .fit(
-                "PCA",
-                &views,
-                &FitSpec::with_rank(2).epsilon(1e-2).seed(40 + i as u64),
-            )
-            .map_err(|e| format!("fitting {name}: {e}"))?;
-        store
-            .save(&dir, &name, model.as_ref())
-            .map_err(|e| format!("saving {name}: {e}"))?;
-        names.push(name);
-    }
-    Ok((dir, names, views))
-}
-
-/// Drive `clients` concurrent connections of `requests` small transform requests
-/// each against a serving endpoint; client `c` always requests model `c % models`
-/// (the multi-tenant shape: distinct callers hammer distinct models). Returns
-/// requests/second over the timed (post-warmup) phase.
-fn run_workload(
-    addr: std::net::SocketAddr,
-    clients: usize,
-    requests: usize,
-    names: &[String],
-    views: &[Matrix],
-) -> Result<f64, String> {
-    let block = 4usize;
-    let blocks = views[0].cols() / block;
-    let slices: Arc<Vec<Vec<Matrix>>> = Arc::new(
-        (0..blocks)
-            .map(|b| {
-                views
-                    .iter()
-                    .map(|v| v.select_columns(&(block * b..block * (b + 1)).collect::<Vec<_>>()))
-                    .collect()
-            })
-            .collect(),
-    );
-    // Warmup: touch every model a few times so payload loads and replica warmup
-    // happen outside the timed window.
-    let mut warm = Client::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
-    for _ in 0..4 {
-        for name in names {
-            warm.transform(name, &slices[0])
-                .map_err(|e| format!("warmup {name}: {e}"))?;
-        }
-    }
-    let names: Arc<Vec<String>> = Arc::new(names.to_vec());
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let names = Arc::clone(&names);
-        let slices = Arc::clone(&slices);
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-            let name = &names[c % names.len()];
-            for i in 0..requests {
-                let slice = &slices[i % slices.len()];
-                client
-                    .transform(name, slice)
-                    .map_err(|e| format!("client {c} request {i} ({name}): {e}"))?;
-            }
-            Ok(())
-        }));
-    }
-    for h in handles {
-        h.join()
-            .map_err(|_| "client thread panicked".to_string())??;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    Ok((clients * requests) as f64 / secs)
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let clients: usize = flags.parsed("clients", 16)?;
-    let requests: usize = flags.parsed("requests", 100)?;
-    let shards: usize = flags.parsed("shards", 4)?;
-    let n_models: usize = flags.parsed("models", 8)?;
-    // The production-shaped batching window. In the single-process server ONE
-    // dispatcher opens one model's window at a time, so an 8-model workload pays up
-    // to 8 windows of latency per round; the router runs one dispatcher per shard
-    // and the windows overlap. That serialization — not CPU — is what sharding
-    // removes (and all a 1-core container can honestly measure).
-    let max_wait_ms: u64 = flags.parsed("max-wait-ms", 5)?;
-    let (dir, names, views) = bench_fixture(n_models.max(1))?;
-    let batch = BatchConfig {
-        max_batch: 256,
-        max_wait: Duration::from_millis(max_wait_ms),
-        ..BatchConfig::default()
-    };
-
-    // Baseline: the single-process server (one engine, one dispatcher).
-    let single_rps = {
-        let store = Arc::new(
-            ModelStore::open(EstimatorRegistry::with_builtin(), &dir)
-                .map_err(|e| format!("indexing: {e}"))?,
-        );
-        let server =
-            Server::bind("127.0.0.1:0", store, batch).map_err(|e| format!("binding: {e}"))?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        let shutdown = server.shutdown_handle();
-        let thread = std::thread::spawn(move || server.run());
-        let rps = run_workload(addr, clients, requests, &names, &views)?;
-        shutdown.shutdown();
-        let _ = thread.join();
-        rps
-    };
-
-    // The sharded router over the same models, same workload.
-    let router_rps = {
-        let router = Router::open_local(&dir, shards, batch, RouterConfig::default())
-            .map_err(|e| format!("building the router: {e}"))?;
-        let router = Arc::new(router);
-        let server = Server::bind_service("127.0.0.1:0", Arc::clone(&router) as _)
-            .map_err(|e| format!("binding: {e}"))?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        let shutdown = server.shutdown_handle();
-        let thread = std::thread::spawn(move || server.run());
-        let rps = run_workload(addr, clients, requests, &names, &views)?;
-        shutdown.shutdown();
-        let _ = thread.join();
-        rps
-    };
-
-    // Satellite: per-coalesced-batch execution cost of serving a *single-view*
-    // projection before vs after the batched `transform_view` path. Before, the
-    // only batched route was the full `transform`: stitch all `m` views, project
-    // all `m` views. Now: stitch one view, one `transform_view` call. Measured on
-    // the model directly (what a pool worker executes per batch), so the batching
-    // window does not mask the saving.
-    let (full_bps, view_bps) = {
-        let file = std::fs::File::open(dir.join(format!("{}.mvm", names[0])))
-            .map_err(|e| format!("opening model: {e}"))?;
-        let model = EstimatorRegistry::with_builtin()
-            .load_model(&mut std::io::BufReader::new(file))
-            .map_err(|e| format!("loading model: {e}"))?;
-        let block = 4usize;
-        let batch_requests = 16usize;
-        let slices: Vec<Vec<Matrix>> = (0..batch_requests)
-            .map(|b| {
-                let start = (block * b) % (views[0].cols() - block);
-                let cols: Vec<usize> = (start..start + block).collect();
-                views.iter().map(|v| v.select_columns(&cols)).collect()
-            })
-            .collect();
-        let stitch = |v: usize| -> Matrix {
-            let d = slices[0][v].rows();
-            let total: usize = slices.iter().map(|s| s[v].cols()).sum();
-            let mut out = Matrix::zeros(d, total);
-            let mut col = 0;
-            for s in &slices {
-                let part = &s[v];
-                for i in 0..d {
-                    out.row_mut(i)[col..col + part.cols()].copy_from_slice(part.row(i));
-                }
-                col += part.cols();
-            }
-            out
-        };
-        let iters = 2000usize;
-        let full = {
-            let start = Instant::now();
-            for _ in 0..iters {
-                let stitched: Vec<Matrix> = (0..views.len()).map(stitch).collect();
-                model
-                    .transform(&stitched)
-                    .map_err(|e| format!("transform: {e}"))?;
-            }
-            iters as f64 / start.elapsed().as_secs_f64()
-        };
-        let view = {
-            let start = Instant::now();
-            for _ in 0..iters {
-                let stitched = stitch(0);
-                model
-                    .transform_view(0, &stitched)
-                    .map_err(|e| format!("transform_view: {e}"))?;
-            }
-            iters as f64 / start.elapsed().as_secs_f64()
-        };
-        (full, view)
-    };
-
-    let json = format!(
-        "{{\n  \"workload\": {{\"clients\": {clients}, \"requests_per_client\": {requests}, \
-         \"models\": {n_models}, \"instances_per_request\": 4, \
-         \"batch_window_ms\": {max_wait_ms}}},\n  \
-         \"loopback_throughput\": {{\"single_server_rps\": {single_rps:.1}, \
-         \"router_{shards}_shards_rps\": {router_rps:.1}, \
-         \"speedup\": {:.2}}},\n  \
-         \"transform_view_batched\": {{\"full_transform_batches_per_s\": {full_bps:.1}, \
-         \"transform_view_batches_per_s\": {view_bps:.1}, \"speedup\": {:.2}}}\n}}",
-        router_rps / single_rps,
-        view_bps / full_bps,
-    );
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))?
-        }
-        None => println!("{json}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
 fn cmd_soak(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        "seed clients models local-shards shards remote-shards phase-ms deadline-ms \
+         max-queue max-per-model assert out",
+    )?;
     let defaults = serve::soak::SoakConfig::default();
     let config = serve::soak::SoakConfig {
         seed: flags.parsed("seed", defaults.seed)?,
@@ -611,7 +396,7 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_embed(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "model view out")?;
     let model_path = flags.require("model")?;
     let view_paths = flags.all("view");
     if view_paths.is_empty() {
@@ -641,7 +426,7 @@ fn cmd_embed(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "model")?;
     let path = flags.require("model")?;
     let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
     let mut reader = std::io::BufReader::new(file);
@@ -658,7 +443,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "addr refit")?;
     let addr = flags.require("addr")?;
     let mut client = serve::Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     if flags.get("refit").map(str::parse) == Some(Ok(true)) {
@@ -676,7 +461,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "out method instances rank")?;
     let dir = PathBuf::from(flags.require("out")?);
     let method = flags.get("method").unwrap_or("TCCA");
     let instances: usize = flags.parsed("instances", 60)?;

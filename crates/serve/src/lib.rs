@@ -9,9 +9,10 @@
 //!   (the `MVTC` format of `mvcore::persist`), with header-only metadata for cheap
 //!   directory indexing, mtime-based [`ModelStore::rescan`] (new files become
 //!   servable without a restart) and LRU payload eviction under a byte budget.
-//! * [`BatchEngine`] — a micro-batching transform engine: concurrent requests for the
-//!   same model are coalesced (up to `max_batch` instances / `max_wait`) into one
-//!   batched `transform` executed on a [`parallel::Pool`], so many clients share
+//! * [`BatchEngine`] — a micro-batching transform engine that batches while busy: a
+//!   request runs as soon as a worker of its [`parallel::Pool`] is free, and requests
+//!   for the same model that queued behind busy workers are coalesced (up to
+//!   `max_batch` instances) into one batched `transform`, so many clients share
 //!   bounded thread pools instead of oversubscribing the machine. Submission is
 //!   callback-based ([`BatchEngine::submit_transform`]) so the event-loop server
 //!   never blocks; batched `transform_view` requests stitch a single view.
@@ -65,6 +66,10 @@ mod server;
 mod service;
 pub mod soak;
 mod store;
+/// The integration tests' gated model, shared with the unit tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_gate;
 mod trainer;
 pub mod wire;
 

@@ -1201,7 +1201,6 @@ mod tests {
             n,
             BatchConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
             RouterConfig {
@@ -1357,7 +1356,6 @@ mod tests {
             2,
             BatchConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
             RouterConfig {

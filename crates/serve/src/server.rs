@@ -841,7 +841,6 @@ mod tests {
     use datasets::{secstr_dataset, SecStrConfig};
     use linalg::Matrix;
     use mvcore::{EstimatorRegistry, FitSpec, InputKind};
-    use std::time::Duration;
 
     fn fixture_views() -> Vec<Matrix> {
         let data = secstr_dataset(&SecStrConfig {
@@ -860,7 +859,6 @@ mod tests {
             store,
             BatchConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
         ));

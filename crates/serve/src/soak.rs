@@ -497,7 +497,6 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
     let (dir, names, views) = soak_fixture(config.models.max(1), config.seed)?;
     let batch = BatchConfig {
         max_batch: 64,
-        max_wait: Duration::from_millis(1),
         max_queue: config.max_queue,
         max_per_model: config.max_per_model,
     };

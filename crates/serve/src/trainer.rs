@@ -411,7 +411,6 @@ mod tests {
             store,
             BatchConfig {
                 max_batch: 32,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
         ));

@@ -51,7 +51,6 @@ impl Backend {
             fixture_store(views),
             BatchConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
         )
@@ -86,7 +85,6 @@ fn front_router(views: &[Matrix]) -> (Arc<Router>, std::net::SocketAddr, serve::
             fixture_store(views),
             BatchConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
         )
@@ -218,7 +216,6 @@ fn probe_tracks_shards_added_and_removed_at_runtime() {
             fixture_store(&views),
             BatchConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(1),
                 ..BatchConfig::default()
             },
         )

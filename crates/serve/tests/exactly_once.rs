@@ -2,8 +2,12 @@
 //! when the model or a control op panics, and even after an earlier call on
 //! the same connection gave up waiting.
 
+mod common;
+
+use common::{gated, WAIT};
 use linalg::Matrix;
 use mvcore::{CoreError, EstimatorRegistry, FitSpec, MemoryModel, ModelState, MultiViewModel};
+use parallel::Pool;
 use serve::wire::{ModelInfo, RescanReport};
 use serve::{
     BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, OutputsCallback, Precision,
@@ -31,8 +35,8 @@ fn fit_pca(views: &[Matrix]) -> Box<dyn MultiViewModel> {
         .unwrap()
 }
 
-fn start(store: Arc<ModelStore>, batch: BatchConfig) -> (SocketAddr, impl FnOnce()) {
-    let server = Server::bind("127.0.0.1:0", store, batch).unwrap();
+fn start(engine: Arc<BatchEngine>) -> (SocketAddr, impl FnOnce()) {
+    let server = Server::bind_service("127.0.0.1:0", engine).unwrap();
     let addr = server.local_addr().unwrap();
     let shutdown = server.shutdown_handle();
     let thread = std::thread::spawn(move || server.run().unwrap());
@@ -81,7 +85,7 @@ fn panicking_model_gets_an_in_band_error_and_the_connection_survives() {
     let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
     store.insert("boom", Box::new(Panicking(fit_pca(&views))));
     store.insert("pca", fit_pca(&views));
-    let (addr, stop) = start(store, BatchConfig::default());
+    let (addr, stop) = start(Arc::new(BatchEngine::start(store, BatchConfig::default())));
 
     let op_timeout = Duration::from_secs(10);
     let mut client = Client::connect(addr).unwrap();
@@ -121,13 +125,17 @@ fn blocking_engine_calls_return_the_panic_not_engine_stopped() {
     let views = fixture_views();
     let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
     store.insert("boom", Box::new(Panicking(fit_pca(&views))));
-    let engine = BatchEngine::start(
+    // A request held in the gated model takes the one-worker engine's only
+    // slot, so the requests submitted behind it coalesce.
+    let (model, mut gate) = gated(fit_pca(&views));
+    store.insert("gate", model);
+    let engine = BatchEngine::start_with_pool(
         store,
         BatchConfig {
             max_batch: 1024,
-            max_wait: Duration::from_millis(50),
             ..BatchConfig::default()
         },
+        Arc::new(Pool::new(1)),
     );
     // Singleton batches, one per op.
     assert_panic_reply(engine.transform("boom", views.clone()), "transform");
@@ -140,6 +148,8 @@ fn blocking_engine_calls_return_the_panic_not_engine_stopped() {
     // A coalesced batch panics, and so does every member's fallback call: each
     // member still gets its own reply.
     let fallbacks = engine.stats().fallbacks;
+    engine.submit_transform("gate", Arc::new(views.clone()), None, Box::new(drop));
+    gate.wait_entered();
     let (tx, rx) = std::sync::mpsc::channel();
     for _ in 0..3 {
         let tx = tx.clone();
@@ -150,8 +160,10 @@ fn blocking_engine_calls_return_the_panic_not_engine_stopped() {
             Box::new(move |r| drop(tx.send(r))),
         );
     }
+    gate.open();
     drop(tx);
-    let replies: Vec<_> = rx.iter().collect();
+    // Ends once every callback is consumed; a stranded one times out.
+    let replies: Vec<_> = std::iter::from_fn(|| rx.recv_timeout(WAIT).ok()).collect();
     assert_eq!(replies.len(), 3, "every member gets exactly one reply");
     for r in replies {
         assert_panic_reply(r, "coalesced transform");
@@ -206,23 +218,26 @@ fn a_timed_out_call_does_not_shift_later_replies() {
     let expected = model.transform(&views).unwrap();
     let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
     store.insert("pca", model);
-    // A lone transform waits out the whole 400 ms batching window.
-    let (addr, stop) = start(
+    // A transform of the gated model stays in the model until the gate opens.
+    let (model, mut gate) = gated(fit_pca(&views));
+    store.insert("gate", model);
+    let (addr, stop) = start(Arc::new(BatchEngine::start_with_pool(
         store,
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(400),
             ..BatchConfig::default()
         },
-    );
+        Arc::new(Pool::new(1)),
+    )));
 
     let mut client = Client::connect(addr).unwrap();
     client.set_op_timeout(Some(Duration::from_millis(100)));
-    let err = client.transform("pca", &views).unwrap_err();
+    let err = client.transform("gate", &views).unwrap_err();
     assert_eq!(err.class(), serve::ErrorClass::Transport, "got {err:?}");
 
-    // Its embedding is still on the way. The next calls must each get their
-    // own reply, never the stale one.
+    // Its embedding is on the way once the gate opens. The next calls must
+    // each get their own reply, never the stale one.
+    gate.open();
     client.set_op_timeout(Some(Duration::from_secs(10)));
     client.ping().unwrap();
     assert_eq!(client.transform("pca", &views).unwrap(), expected);

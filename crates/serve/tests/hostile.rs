@@ -37,7 +37,6 @@ fn start_server() -> (SocketAddr, impl FnOnce()) {
         store,
         BatchConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             ..BatchConfig::default()
         },
     )

@@ -69,7 +69,6 @@ fn hammered_model_survives_repeated_live_swaps() {
         store,
         BatchConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(1),
             ..BatchConfig::default()
         },
     ));

@@ -2,10 +2,14 @@
 //! throttle or reject *in band* — never hang, never buffer without bound,
 //! never silently drop a request that was admitted.
 
+mod common;
+
+use common::{gated, Gate, WAIT};
 use linalg::Matrix;
 use mvcore::{EstimatorRegistry, FitSpec};
+use parallel::Pool;
 use serve::wire::{read_frame, write_frame, Request, Response};
-use serve::{BatchConfig, Client, ModelStore, ServeError, Server, ServerTuning};
+use serve::{BatchConfig, BatchEngine, Client, ModelStore, ServeError, Server, ServerTuning};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -37,12 +41,25 @@ fn fixture_store(names: &[String]) -> Arc<ModelStore> {
     store
 }
 
-fn start_tuned(
-    batch: BatchConfig,
-    tuning: ServerTuning,
-    store: Arc<ModelStore>,
-) -> (SocketAddr, impl FnOnce()) {
-    let engine = Arc::new(serve::BatchEngine::start(store, batch));
+/// `store` plus a PCA model `name` behind a gate, served by a one-worker
+/// engine: a request for `name` holds the engine's only slot until the gate
+/// opens, and everything admitted meanwhile stays queued.
+fn parked_engine(store: Arc<ModelStore>, name: &str) -> (Arc<BatchEngine>, Gate) {
+    let (model, gate) = gated(
+        EstimatorRegistry::with_builtin()
+            .fit("PCA", &fixture_views(), &FitSpec::with_rank(2).seed(7))
+            .unwrap(),
+    );
+    store.insert(name, model);
+    let batch = BatchConfig {
+        max_batch: 64,
+        ..BatchConfig::default()
+    };
+    let engine = BatchEngine::start_with_pool(store, batch, Arc::new(Pool::new(1)));
+    (Arc::new(engine), gate)
+}
+
+fn start_tuned(engine: Arc<BatchEngine>, tuning: ServerTuning) -> (SocketAddr, impl FnOnce()) {
     let server = Server::bind_service_tuned("127.0.0.1:0", engine, tuning).unwrap();
     let addr = server.local_addr().unwrap();
     let shutdown = server.shutdown_handle();
@@ -74,12 +91,14 @@ fn counter(stats: &[(String, u64)], name: &str) -> u64 {
 fn slow_reader_is_throttled_not_buffered_unboundedly() {
     let names: Vec<String> = (0..4).map(|i| format!("{i}").repeat(4096)).collect();
     let (addr, stop) = start_tuned(
-        BatchConfig::default(),
+        Arc::new(BatchEngine::start(
+            fixture_store(&names),
+            BatchConfig::default(),
+        )),
         ServerTuning {
             wbuf_high_water: 64 * 1024,
             ..ServerTuning::default()
         },
-        fixture_store(&names),
     );
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -129,19 +148,15 @@ fn slow_reader_is_throttled_not_buffered_unboundedly() {
 #[test]
 fn pipelined_flood_beyond_inflight_limit_is_shed_in_band() {
     let requests: u64 = 64;
+    // The gate parks admitted work so the in-flight count stays up while the
+    // flood arrives.
+    let (engine, mut gate) = parked_engine(fixture_store(&[]), "pca");
     let (addr, stop) = start_tuned(
-        BatchConfig {
-            max_batch: 64,
-            // A wide window parks admitted work so the in-flight count stays
-            // up while the flood arrives.
-            max_wait: Duration::from_millis(200),
-            ..BatchConfig::default()
-        },
+        engine,
         ServerTuning {
             max_inflight_per_conn: 4,
             ..ServerTuning::default()
         },
-        fixture_store(&["pca".into()]),
     );
     let views = fixture_views();
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -164,6 +179,10 @@ fn pipelined_flood_beyond_inflight_limit_is_shed_in_band() {
         let payload = read_frame(&mut stream)
             .unwrap()
             .expect("reply stream ended early");
+        // Nothing admitted can finish while the gate is shut, so the first
+        // reply is a shed: the flood has met the limit, and the parked work may
+        // run.
+        gate.open();
         match Response::decode(&payload).unwrap() {
             Response::Tagged { id, inner } => {
                 assert!(seen.insert(id), "duplicate reply for request {id}");
@@ -194,21 +213,31 @@ fn pipelined_flood_beyond_inflight_limit_is_shed_in_band() {
     stop();
 }
 
-/// A wire deadline budget shorter than the batching window expires while the
-/// request is parked, and the client gets an in-band `DeadlineExceeded` — the
-/// work is discarded, not computed late.
+/// A wire deadline budget that runs out while the request is parked behind a
+/// busy engine gets an in-band `DeadlineExceeded` — the work is discarded, not
+/// computed late.
 #[test]
 fn expired_wire_deadline_is_answered_in_band() {
-    let (addr, stop) = start_tuned(
-        BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(300),
-            ..BatchConfig::default()
-        },
-        ServerTuning::default(),
-        fixture_store(&["pca".into()]),
-    );
+    let (engine, mut gate) = parked_engine(fixture_store(&["pca".into()]), "gate");
+    let (addr, stop) = start_tuned(Arc::clone(&engine), ServerTuning::default());
     let views = fixture_views();
+    // A request held in the gated model takes the engine's only slot.
+    let holder = {
+        let views = views.clone();
+        std::thread::spawn(move || Client::connect(addr)?.transform("gate", &views))
+    };
+    gate.wait_entered();
+    // Open the gate once the request below has queued and its 1 ms budget has
+    // run out.
+    let opener = std::thread::spawn(move || {
+        let queued_by = Instant::now() + WAIT;
+        while engine.queue_depth() == 0 {
+            assert!(Instant::now() < queued_by, "the request never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        gate.open();
+    });
     let mut client = Client::connect(addr).unwrap();
     let request = Request::Transform {
         model: "pca".into(),
@@ -218,6 +247,8 @@ fn expired_wire_deadline_is_answered_in_band() {
         Err(ServeError::DeadlineExceeded(_)) => {}
         other => panic!("expected an in-band deadline verdict, got {other:?}"),
     }
+    opener.join().unwrap();
+    holder.join().unwrap().unwrap();
     // A deadline-free request on the same connection still works: the expired
     // one was discarded cleanly, not left to poison the stream.
     client.transform("pca", &views).unwrap();

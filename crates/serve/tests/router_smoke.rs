@@ -95,27 +95,11 @@ fn router_fails_over_when_a_shard_is_killed() {
 
     // 3. Two shard child processes, then the router in front of them.
     let (shard_a, addr_a) = spawn_listening(
-        &[
-            "serve",
-            "--models",
-            "{dir}",
-            "--addr",
-            "127.0.0.1:0",
-            "--max-wait-ms",
-            "1",
-        ],
+        &["serve", "--models", "{dir}", "--addr", "127.0.0.1:0"],
         &dir,
     );
     let (_shard_b, addr_b) = spawn_listening(
-        &[
-            "serve",
-            "--models",
-            "{dir}",
-            "--addr",
-            "127.0.0.1:0",
-            "--max-wait-ms",
-            "1",
-        ],
+        &["serve", "--models", "{dir}", "--addr", "127.0.0.1:0"],
         &dir,
     );
     let (_router, router_addr) = spawn_listening(

@@ -73,14 +73,7 @@ fn binary_serves_coalesced_batches_bit_identically() {
     let mut child = Command::new(BIN)
         .args(["serve", "--models"])
         .arg(&dir)
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--max-batch",
-            "64",
-            "--max-wait-ms",
-            "10",
-        ])
+        .args(["--addr", "127.0.0.1:0", "--max-batch", "64"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("running tcca_serve serve");
@@ -183,4 +176,16 @@ fn one_shot_embed_mode_matches_in_process_transform() {
     let embedded = read_csv(&out_path);
     assert_eq!(embedded, expected, "CSV round-trip must be exact");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_rejected_with_the_usage_text() {
+    let output = Command::new(BIN)
+        .args(["inspect", "--model", "m.mvm", "--bogus", "1"])
+        .output()
+        .expect("running tcca_serve inspect");
+    assert!(!output.status.success(), "a misspelled flag must fail");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
 }

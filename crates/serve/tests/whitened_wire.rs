@@ -82,14 +82,7 @@ fn whitened_model_serves_bit_identically_over_the_wire() {
     let mut child = Command::new(BIN)
         .args(["serve", "--models"])
         .arg(&dir)
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--max-batch",
-            "64",
-            "--max-wait-ms",
-            "5",
-        ])
+        .args(["--addr", "127.0.0.1:0", "--max-batch", "64"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("running tcca_serve serve");

@@ -7,12 +7,15 @@
 //! global counters mid-measurement (integration-test files are separate processes;
 //! tests *within* a file share one).
 
+mod common;
+
+use common::{gated, Gate, WAIT};
 use linalg::{input_stitches, matrix_clones, Matrix};
 use mvcore::{EstimatorRegistry, FitSpec};
+use parallel::Pool;
 use serve::{BatchConfig, BatchEngine, ModelStore, RouterConfig, TransformService};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fixture_views() -> Vec<Matrix> {
     let data = datasets::secstr_dataset(&datasets::SecStrConfig {
@@ -26,13 +29,24 @@ fn fixture_views() -> Vec<Matrix> {
         .collect()
 }
 
+/// Hold `engine`'s only slot with a `transform_view` request for the gated
+/// model `model` (a singleton batch: no stitch, no clone), so work submitted
+/// next queues and coalesces once the gate opens.
+fn hold_slot(engine: &BatchEngine, model: &str, gate: &Gate, slice: &Arc<Matrix>) {
+    let precision = serve::Precision::F64;
+    engine.submit_transform_view(model, 1, Arc::clone(slice), precision, None, Box::new(drop));
+    gate.wait_entered();
+}
+
 /// Submit `slices` as concurrent `transform_view` requests and wait for all
-/// replies, returning them in request order.
+/// replies, returning them in request order. `gate`, if given, is opened once
+/// every request is queued.
 fn submit_view_burst(
     service: &dyn TransformService,
     model: &str,
     which: usize,
     slices: &[Arc<Matrix>],
+    gate: Option<&mut Gate>,
 ) -> Vec<Matrix> {
     let (tx, rx) = sync_channel(slices.len());
     for (i, slice) in slices.iter().enumerate() {
@@ -46,9 +60,12 @@ fn submit_view_burst(
             Box::new(move |r| drop(tx.send((i, r)))),
         );
     }
+    if let Some(gate) = gate {
+        gate.open();
+    }
     let mut out: Vec<(usize, Matrix)> = (0..slices.len())
         .map(|_| {
-            let (i, r) = rx.recv().expect("engine reply");
+            let (i, r) = rx.recv_timeout(WAIT).expect("engine reply");
             (i, r.expect("transform_view succeeds"))
         })
         .collect();
@@ -65,13 +82,25 @@ fn serving_happy_paths_copy_no_input_matrices() {
         .unwrap();
     let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
     store.insert("pca", model);
-    let engine = BatchEngine::start(
+    // One worker, so a request held in a gated model parks everything behind
+    // it. A gate stays open once opened: one per parked burst.
+    let gate = |name: &str| {
+        let (model, gate) = gated(
+            registry
+                .fit("PCA", &views, &FitSpec::with_rank(2).seed(2))
+                .unwrap(),
+        );
+        store.insert(name, model);
+        gate
+    };
+    let (mut gate_views, mut gate_full) = (gate("gate-views"), gate("gate-full"));
+    let engine = BatchEngine::start_with_pool(
         store,
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(100),
             ..BatchConfig::default()
         },
+        Arc::new(Pool::new(1)),
     );
     let direct = engine
         .store()
@@ -92,7 +121,8 @@ fn serving_happy_paths_copy_no_input_matrices() {
     // --- Coalesced transform_view burst through the engine: ColsView path. ---
     let clones0 = matrix_clones();
     let stitches0 = input_stitches();
-    let results = submit_view_burst(&engine, "pca", 1, &slices);
+    hold_slot(&engine, "gate-views", &gate_views, &slices[0]);
+    let results = submit_view_burst(&engine, "pca", 1, &slices, Some(&mut gate_views));
     for (c, z) in results.iter().enumerate() {
         let expected = direct.select_rows(&(4 * c..4 * (c + 1)).collect::<Vec<_>>());
         assert_eq!(z, &expected, "zero-copy result diverged for request {c}");
@@ -120,7 +150,7 @@ fn serving_happy_paths_copy_no_input_matrices() {
     let singletons0 = engine.stats().singleton_batches;
     let clones1 = matrix_clones();
     let stitches1 = input_stitches();
-    let z = submit_view_burst(&engine, "pca", 1, &slices[..1]);
+    let z = submit_view_burst(&engine, "pca", 1, &slices[..1], None);
     assert_eq!(z[0], direct.select_rows(&(0..4).collect::<Vec<_>>()));
     assert_eq!(matrix_clones() - clones1, 0, "singleton cloned its input");
     assert_eq!(input_stitches() - stitches1, 0, "singleton stitched");
@@ -142,17 +172,16 @@ fn serving_happy_paths_copy_no_input_matrices() {
         router_store,
         BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(50),
             ..BatchConfig::default()
         },
     )
     .build();
-    let warm = submit_view_burst(&router, "pca", 1, &slices[..1]);
+    let warm = submit_view_burst(&router, "pca", 1, &slices[..1], None);
     assert_eq!(warm[0], direct.select_rows(&(0..4).collect::<Vec<_>>()));
 
     let clones2 = matrix_clones();
     let stitches2 = input_stitches();
-    let results = submit_view_burst(&router, "pca", 1, &slices);
+    let results = submit_view_burst(&router, "pca", 1, &slices, None);
     for (c, z) in results.iter().enumerate() {
         let expected = direct.select_rows(&(4 * c..4 * (c + 1)).collect::<Vec<_>>());
         assert_eq!(z, &expected, "routed result diverged for request {c}");
@@ -183,6 +212,7 @@ fn serving_happy_paths_copy_no_input_matrices() {
         .collect();
     let coalesced0 = engine.stats().coalesced_requests;
     let stitches3 = input_stitches();
+    hold_slot(&engine, "gate-full", &gate_full, &slices[0]);
     let (tx, rx) = sync_channel(2);
     for inputs in &full_inputs {
         let tx = tx.clone();
@@ -193,13 +223,12 @@ fn serving_happy_paths_copy_no_input_matrices() {
             Box::new(move |r| drop(tx.send(r))),
         );
     }
-    let a = rx.recv().unwrap().unwrap();
-    let b = rx.recv().unwrap().unwrap();
+    gate_full.open();
+    let a = rx.recv_timeout(WAIT).unwrap().unwrap();
+    let b = rx.recv_timeout(WAIT).unwrap().unwrap();
     assert_eq!(a.rows() + b.rows(), 16);
-    if engine.stats().coalesced_requests > coalesced0 {
-        // The two requests coalesced: the full-transform path stitches each of the
-        // m views exactly once. (If the window raced closed they ran as singletons,
-        // which stitch nothing — the documented bypass.)
-        assert_eq!(input_stitches() - stitches3, views.len());
-    }
+    // The two requests queued behind the held slot and coalesced: the
+    // full-transform path stitches each of the m views exactly once.
+    assert_eq!(engine.stats().coalesced_requests, coalesced0 + 2);
+    assert_eq!(input_stitches() - stitches3, views.len());
 }
